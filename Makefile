@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-lane bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke print-govulncheck-version
+.PHONY: check vet lint build test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-lane bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke benchmark-smoke print-govulncheck-version
 
 check: lint build race zeroalloc obs-overhead fft-sweep kpi-smoke
 	$(GO) test ./...
@@ -43,13 +43,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The scheduler, receiver, telemetry, front-haul and turbo suites
+# The scheduler, receiver, telemetry, front-haul, turbo and fleet suites
 # exercise per-worker arena isolation, work stealing, concurrent ring
-# snapshots, the serving layer's connection/ack plumbing and the turbo
-# window fan-out's shared-state handoff; -race proves no scratch buffer
+# snapshots, the serving layer's connection/ack plumbing, the turbo
+# window fan-out's shared-state handoff and the coordinator's supervision,
+# checkpoint and migration goroutines; -race proves no scratch buffer
 # crosses workers and the shared counters are race-free.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/uplink/... ./internal/obs/... ./internal/fronthaul/... ./internal/phy/turbo/...
+	$(GO) test -race ./internal/sched/... ./internal/uplink/... ./internal/obs/... ./internal/fronthaul/... ./internal/phy/turbo/... ./internal/fleet/... ./cmd/lte-fleet/...
 
 # Guards the ISSUE 1 invariant: the post-warmup receiver hot path must
 # not allocate (see internal/uplink/alloc_bench_test.go) — including with
@@ -173,6 +174,19 @@ fleet-smoke:
 		-assert-exactly-once -assert-shed-within 0.1 \
 		-json results/fleet_scale.json
 	@echo "fleet-smoke: OK"
+
+# Benchmark smoke: the repository benchmark (BENCHMARK.json) on its
+# reference workload for 3 s, untraced then traced. Every pass is compared
+# bit for bit with a golden serial pass, so a receiver change that breaks
+# it fails here rather than in the pipeline's benchmark run; the run's last
+# line is its JSON verdict.
+benchmark-smoke:
+	@set -e; mkdir -p .bench_build; for trace in 0 1; do \
+		bash benchmark/run.sh --workload ref_passthrough --seconds 3 --trace $$trace | tee .bench_build/smoke.txt; \
+		tail -n 1 .bench_build/smoke.txt | grep -q '"correct":true' || \
+			{ echo "benchmark-smoke: --trace $$trace did not end with \"correct\":true"; exit 1; }; \
+	done
+	@echo "benchmark-smoke: OK"
 
 # KPI measurement smoke (ISSUE 9): a 3-point BLER-vs-SNR campaign through
 # the full-turbo receive path, asserting the physics — BLER monotone

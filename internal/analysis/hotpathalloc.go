@@ -189,13 +189,20 @@ func checkHotFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 		if pass.Pkg.AllocOKLine(pass.Prog.Fset, call.Pos()) || inPanic(call) {
 			return true
 		}
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && types.IsInterface(tv.Type) {
+		// A type parameter's underlying type is its constraint interface,
+		// but T(x) converts between concrete types: nothing is boxed.
+		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && types.IsInterface(tv.Type) && !isTypeParam(tv.Type) {
 			if argTV, ok := info.Types[call.Args[0]]; ok && !types.IsInterface(argTV.Type) && argTV.Type != types.Typ[types.UntypedNil] {
 				pass.Reportf(call.Pos(), "conversion to interface boxes a value on the heap in hot-path function %s", name)
 			}
 		}
 		return true
 	})
+}
+
+func isTypeParam(t types.Type) bool {
+	_, ok := types.Unalias(t).(*types.TypeParam)
+	return ok
 }
 
 // paramAndArenaOrigins returns the set of local objects whose backing

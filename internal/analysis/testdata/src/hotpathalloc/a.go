@@ -21,6 +21,19 @@ func (stage) Run(ws *workspace.Arena, j *job, i int) {
 	sink(describe(j.n))
 	telemetry.record(span{0, 1})
 	recordGrowing(span{0, 1})
+	_ = half(float32(j.n))
+	_ = boxed(j.n)
+}
+
+// half converts to its type parameter — the generic-kernel shape, a
+// conversion between concrete types at every instantiation: clean.
+func half[T float32 | float64](x T) T {
+	return T(float64(x) / 2)
+}
+
+// boxed converts to an interface type proper: a heap box per call.
+func boxed(n int) any {
+	return any(n) // want "conversion to interface boxes"
 }
 
 // span and ring mirror the obs event-ring shape: a fixed-capacity

@@ -11,9 +11,12 @@
 // over the decoded payload (the paper's Fig. 3 "CRC" kernel).
 //
 // The message here is a sequence of bits (one bit per byte, values 0 or 1),
-// matching how the turbo coder and demapper exchange data; a table-driven
-// byte-oriented variant is provided for packed payloads.
+// matching how the turbo coder and demapper exchange data, and is divided
+// eight bits per table step; a byte-oriented variant over the same tables
+// is provided for packed payloads.
 package crc
+
+import "encoding/binary"
 
 // Kind selects one of the four LTE CRC polynomials.
 type Kind int
@@ -49,24 +52,13 @@ func (k Kind) String() string { return table[k].name }
 
 // ComputeBits returns the CRC of a message given as individual bits
 // (values 0 or 1, most significant bit first), as the checksum bits
-// p(0)..p(L-1) in transmission order (MSB first).
+// p(0)..p(L-1) in transmission order (MSB first). Only bit 0 of each
+// element is read.
 func (k Kind) ComputeBits(msg []uint8) []uint8 {
-	p := table[k]
-	var reg uint32
-	top := uint32(1) << (p.bits - 1)
-	mask := (uint32(1) << p.bits) - 1
-	for _, b := range msg {
-		fb := (reg&top != 0) != (b != 0)
-		reg = (reg << 1) & mask
-		if fb {
-			reg ^= p.poly
-		}
-	}
-	out := make([]uint8, p.bits)
-	for i := 0; i < p.bits; i++ {
-		if reg&(uint32(1)<<(p.bits-1-i)) != 0 {
-			out[i] = 1
-		}
+	reg := k.remainderBits(msg)
+	out := make([]uint8, k.Bits())
+	for i := range out {
+		out[i] = uint8(reg>>(31-i)) & 1
 	}
 	return out
 }
@@ -77,53 +69,29 @@ func (k Kind) AppendBits(msg []uint8) []uint8 {
 }
 
 // CheckBits reports whether data, interpreted as message||checksum,
-// carries a consistent CRC. It returns false for inputs shorter than the
-// checksum itself. It compares the shift register directly against the
-// trailing checksum bits, so it performs no allocation — it runs once per
-// decoded block on the receiver hot path.
+// carries a consistent CRC: the LTE CRCs have a zero initial register and
+// no final inversion, so that is exactly when the generator divides the
+// whole codeword. It returns false for inputs shorter than the checksum
+// itself. Only bit 0 of each element is read, checksum included, so a
+// byte of 2 counts as 0. It performs no allocation — it runs once per
+// decoded block, and once per CRC-gated turbo half-iteration, on the
+// receiver hot path.
 func (k Kind) CheckBits(data []uint8) bool {
-	p := table[k]
-	n := len(data) - p.bits
-	if n < 0 {
-		return false
-	}
-	var reg uint32
-	top := uint32(1) << (p.bits - 1)
-	mask := (uint32(1) << p.bits) - 1
-	for _, b := range data[:n] {
-		fb := (reg&top != 0) != (b != 0)
-		reg = (reg << 1) & mask
-		if fb {
-			reg ^= p.poly
-		}
-	}
-	for i := 0; i < p.bits; i++ {
-		var want uint8
-		if reg&(uint32(1)<<(p.bits-1-i)) != 0 {
-			want = 1
-		}
-		if data[n+i] != want {
-			return false
-		}
-	}
-	return true
+	return len(data) >= k.Bits() && k.remainderBits(data) == 0
 }
 
-// byteTables holds the 256-entry lookup tables for the byte-oriented
-// variant, indexed by Kind.
+// byteTables[k][b] is the register after dividing byte b (MSB first) by
+// the generator of k from a zero register. The register is kept
+// left-aligned in 32 bits — its L bits on top, zeros below — so one step
+// shape serves all four lengths without masking.
 var byteTables = func() [len(table)][256]uint32 {
 	var ts [len(table)][256]uint32
 	for k, p := range table {
-		top := uint32(1) << (p.bits - 1)
-		mask := (uint32(1) << p.bits) - 1
-		for b := 0; b < 256; b++ {
-			reg := uint32(b) << (p.bits - 8)
+		poly := p.poly << (32 - p.bits)
+		for b := range ts[k] {
+			reg := uint32(b) << 24
 			for i := 0; i < 8; i++ {
-				if reg&top != 0 {
-					reg = ((reg << 1) ^ p.poly) & mask
-				} else {
-					reg = (reg << 1) & mask
-				}
+				reg = reg<<1 ^ poly&-(reg>>31)
 			}
 			ts[k][b] = reg
 		}
@@ -131,17 +99,37 @@ var byteTables = func() [len(table)][256]uint32 {
 	return ts
 }()
 
+// remainderBits divides a message given one bit per byte (only the low bit
+// of each is read) by the generator, eight bits per table step, and returns
+// the left-aligned register.
+func (k Kind) remainderBits(bits []uint8) uint32 {
+	t := &byteTables[k]
+	// Leading zeros do not move a zero register, so the odd bits at the
+	// front are one zero-padded byte.
+	head := len(bits) % 8
+	var b uint8
+	for _, v := range bits[:head] {
+		b = b<<1 | v&1
+	}
+	reg := t[b]
+	for bits = bits[head:]; len(bits) >= 8; bits = bits[8:] {
+		// The multiply gathers the eight low bits, first byte highest, into
+		// the product's top byte: bit 8j moves to 63-j, and no two of the
+		// partial products meet, so nothing carries.
+		x := binary.LittleEndian.Uint64(bits) & 0x0101010101010101
+		reg = reg<<8 ^ t[uint8(reg>>24)^uint8(x*0x8040201008040201>>56)]
+	}
+	return reg
+}
+
 // ComputeBytes returns the CRC register value for a packed byte message
 // (bits taken MSB-first within each byte). The low Bits() bits hold the
 // checksum; for CRC8/16 the upper bits are zero.
 func (k Kind) ComputeBytes(msg []byte) uint32 {
-	p := table[k]
 	t := &byteTables[k]
-	mask := (uint32(1) << p.bits) - 1
 	var reg uint32
 	for _, b := range msg {
-		idx := byte(reg>>(p.bits-8)) ^ b
-		reg = ((reg << 8) & mask) ^ t[idx]
+		reg = reg<<8 ^ t[uint8(reg>>24)^b]
 	}
-	return reg
+	return reg >> (32 - k.Bits())
 }

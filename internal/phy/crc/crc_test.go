@@ -2,6 +2,7 @@ package crc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -15,6 +16,74 @@ func randBits(rng *rand.Rand, n int) []uint8 {
 }
 
 var kinds = []Kind{CRC24A, CRC24B, CRC16, CRC8}
+
+// checkBitsSerial is the reference the table-driven CheckBits is held to:
+// the shift register of TS 36.212 §5.1.1 clocked once per message bit, its
+// final state compared with the trailing checksum bits.
+func checkBitsSerial(k Kind, data []uint8) bool {
+	p := table[k]
+	n := len(data) - p.bits
+	if n < 0 {
+		return false
+	}
+	var reg uint32
+	top := uint32(1) << (p.bits - 1)
+	mask := (uint32(1) << p.bits) - 1
+	for _, b := range data[:n] {
+		fb := (reg&top != 0) != (b != 0)
+		reg = (reg << 1) & mask
+		if fb {
+			reg ^= p.poly
+		}
+	}
+	for i := 0; i < p.bits; i++ {
+		if data[n+i] != uint8(reg>>(p.bits-1-i))&1 {
+			return false
+		}
+	}
+	return true
+}
+
+// agreeWithSerial checks CheckBits against the bit-serial reference on a
+// codeword, on random bits of the same length, and on the codeword with the
+// bit at flip inverted.
+func agreeWithSerial(t *testing.T, k Kind, rng *rand.Rand, n, flip int) {
+	t.Helper()
+	coded := k.AppendBits(randBits(rng, n))
+	if !k.CheckBits(coded) || !checkBitsSerial(k, coded) {
+		t.Fatalf("%v: codeword of %d message bits rejected", k, n)
+	}
+	if junk := randBits(rng, len(coded)); k.CheckBits(junk) != checkBitsSerial(k, junk) {
+		t.Fatalf("%v: CheckBits disagrees with the bit-serial reference on %d random bits", k, len(junk))
+	}
+	coded[flip] ^= 1
+	if k.CheckBits(coded) || checkBitsSerial(k, coded) {
+		t.Fatalf("%v: flip at %d of %d bits undetected", k, flip, len(coded))
+	}
+}
+
+// TestCheckBitsMatchesBitSerial covers every polynomial at every message
+// length 0..64 with every single-bit corruption, and random lengths up to
+// the largest code block (multiples of 8 and not) with one random flip.
+func TestCheckBitsMatchesBitSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, k := range kinds {
+		for n := 0; n <= 64; n++ {
+			for flip := 0; flip < n+k.Bits(); flip++ {
+				agreeWithSerial(t, k, rng, n, flip)
+			}
+		}
+		for trial := 0; trial < 200; trial++ {
+			n := rng.Intn(6201)
+			agreeWithSerial(t, k, rng, n, rng.Intn(n+k.Bits()))
+		}
+		for n := 0; n < k.Bits(); n++ {
+			if short := make([]uint8, n); k.CheckBits(short) || checkBitsSerial(k, short) {
+				t.Fatalf("%v: accepted %d bits, shorter than the checksum", k, n)
+			}
+		}
+	}
+}
 
 func TestAppendThenCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -77,6 +146,26 @@ func TestCheckBitsTooShort(t *testing.T) {
 	for _, k := range kinds {
 		if k.CheckBits(make([]uint8, k.Bits()-1)) {
 			t.Errorf("%v: accepted input shorter than checksum", k)
+		}
+	}
+}
+
+// Pins the input contract: only bit 0 of each element is read, so setting
+// the upper bits changes neither the checksum nor the verdict.
+func TestOnlyLowBitRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range kinds {
+		msg := randBits(rng, 203)
+		cw := k.AppendBits(msg)
+		dirty := make([]uint8, len(cw))
+		for i, b := range cw {
+			dirty[i] = b | uint8(rng.Intn(128))<<1
+		}
+		if !k.CheckBits(dirty) {
+			t.Errorf("%v: upper bits changed the CheckBits verdict", k)
+		}
+		if got, want := k.ComputeBits(dirty[:len(msg)]), cw[len(msg):]; !slices.Equal(got, want) {
+			t.Errorf("%v: upper bits changed the checksum", k)
 		}
 	}
 }
@@ -198,6 +287,18 @@ func BenchmarkComputeBits24A(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		CRC24A.ComputeBits(msg)
 	}
+}
+
+func BenchmarkCheckBits24A(b *testing.B) {
+	block := CRC24A.AppendBits(randBits(rand.New(rand.NewSource(5)), 6144))
+	ok := true
+	for i := 0; i < b.N; i++ {
+		ok = CRC24A.CheckBits(block) && ok
+	}
+	if !ok {
+		b.Fatal("CRC24A rejected its own checksum")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(block)), "ns/bit")
 }
 
 func BenchmarkComputeBytes24A(b *testing.B) {

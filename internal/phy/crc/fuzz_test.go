@@ -3,7 +3,10 @@ package crc
 import "testing"
 
 // FuzzAppendCheck: any message round-trips; any single-bit corruption of
-// the codeword is detected.
+// the codeword is detected; the table-driven CheckBits agrees with the
+// bit-serial reference on the codeword, its corruption, and the raw message
+// bits taken as a would-be codeword (any length, not only multiples of 8:
+// the checksum lengths and the trim below see to that).
 func FuzzAppendCheck(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint16(0))
 	f.Add([]byte{0xFF, 0x00, 0xA5}, uint8(2), uint16(5))
@@ -18,16 +21,17 @@ func FuzzAppendCheck(f *testing.F) {
 				bits = append(bits, (b>>uint(i))&1)
 			}
 		}
-		coded := k.AppendBits(bits)
-		if !k.CheckBits(coded) {
-			t.Fatalf("%v: clean codeword rejected", k)
+		bits = bits[:len(bits)-int(flipRaw>>13)%(len(bits)+1)]
+		if k.CheckBits(bits) != checkBitsSerial(k, bits) {
+			t.Fatalf("%v: CheckBits disagrees with the bit-serial reference on %d raw bits", k, len(bits))
 		}
-		if len(coded) == 0 {
-			return
+		coded := k.AppendBits(bits)
+		if !k.CheckBits(coded) || !checkBitsSerial(k, coded) {
+			t.Fatalf("%v: clean codeword rejected", k)
 		}
 		flip := int(flipRaw) % len(coded)
 		coded[flip] ^= 1
-		if k.CheckBits(coded) {
+		if k.CheckBits(coded) || checkBitsSerial(k, coded) {
 			t.Fatalf("%v: single-bit flip at %d undetected", k, flip)
 		}
 	})

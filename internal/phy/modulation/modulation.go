@@ -1,16 +1,34 @@
 // Package modulation implements the LTE uplink constellations (TS 36.211
 // §7.1): Gray-mapped QPSK, 16-QAM and 64-QAM, plus an exact max-log-MAP
-// soft demapper producing per-bit log-likelihood ratios.
+// soft demapper producing per-bit log-likelihood ratios and, in the same
+// pass, the EVM.
 //
-// The demapper is the paper's "soft symbol demapping" kernel (Fig. 3). Its
-// cost grows with the constellation size (2^Q points per symbol), which is
-// one of the two reasons higher-order modulation raises the subframe
-// workload in Fig. 11 (the other being more bits through the decoder).
+// The demapper is the paper's "soft symbol demapping" kernel (Fig. 3). It
+// is closed-form. The 36.211 tables (7.1.2-1, 7.1.3-1, 7.1.4-1) are square:
+// even-position bits pick the I level and odd-position bits the Q level
+// from the same per-axis table, whose levels are the odd multiples of a unit
+// a — ±a; ±a, ±3a; ±3a, ±a, ±5a, ±7a — with the first axis bit the sign and
+// the rest Gray-coded so each folds the axis about a boundary at an even
+// multiple of a. The squared distance to a point is then a sum of two
+// per-axis terms of which a bit constrains one, so
+//
+//	LLR(b) = (min_{s: b=1} |y-s|^2 - min_{s: b=0} |y-s|^2) / noiseVar
+//
+// is a difference of squared distances from one coordinate to two levels:
+// piecewise linear in that coordinate, the pieces meeting where the nearest
+// level of a hypothesis changes. kernel.go evaluates the pieces with an
+// abs, a subtract and a multiply per axis bit, and the distance to the
+// nearest level — what the EVM sums — is the end of the same chain. The
+// cost per symbol is linear in Q (bits), not in 2^Q (points), so in Fig. 11
+// higher-order modulation raises the demapper's workload only through the
+// bit count. TestDemapMatchesExhaustive holds the closed form to the
+// definition, a scan of all 2^Q points of Constellation.
 package modulation
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Scheme identifies a modulation scheme. The zero value is QPSK.
@@ -96,12 +114,16 @@ func pamLevel(bits []uint8, scale float64) float64 {
 	return v
 }
 
+// unit[s] is the scheme's unit amplitude a: the per-axis levels are the odd
+// multiples ±a, ±3a, ... and unit average energy fixes a.
+var unit = [nSchemes]float64{QPSK: 1 / math.Sqrt2, QAM16: 1 / math.Sqrt(10), QAM64: 1 / math.Sqrt(42)}
+
 // constellations[s][idx] is the symbol whose bits, MSB first, equal idx.
 var constellations = func() [nSchemes][]complex128 {
 	var tabs [nSchemes][]complex128
 	for _, s := range []Scheme{QPSK, QAM16, QAM64} {
 		q := s.Bits()
-		scale := map[Scheme]float64{QPSK: 1 / math.Sqrt2, QAM16: 1 / math.Sqrt(10), QAM64: 1 / math.Sqrt(42)}[s]
+		scale := unit[s]
 		tab := make([]complex128, 1<<uint(q))
 		for idx := range tab {
 			bits := make([]uint8, q)
@@ -129,33 +151,6 @@ var constellations = func() [nSchemes][]complex128 {
 // modify it.
 func (s Scheme) Constellation() []complex128 { return constellations[s] }
 
-// axisLevels[s][t] is the per-axis PAM amplitude for the axis bit group t
-// (MSB first, Bits()/2 bits per axis). The LTE constellations are square
-// Gray-mapped QAM with even-position bits on I and odd-position bits on Q,
-// so a symbol factors as (level[iBits], level[qBits]) and the demapper can
-// search the two axes independently. The levels are read back out of the
-// constellation table itself so both representations are the same float64
-// values by construction.
-var axisLevels = func() [nSchemes][]float64 {
-	var tabs [nSchemes][]float64
-	for _, s := range []Scheme{QPSK, QAM16, QAM64} {
-		h := s.Bits() / 2
-		tab := make([]float64, 1<<uint(h))
-		full := constellations[s]
-		for t := range tab {
-			// The symbol whose I bits are t and Q bits are all zero sits at
-			// the full-table index with t's bits spread to even positions.
-			idx := 0
-			for i := 0; i < h; i++ {
-				idx = idx<<2 | ((t>>uint(h-1-i))&1)<<1
-			}
-			tab[t] = real(full[idx])
-		}
-		tabs[s] = tab
-	}
-	return tabs
-}()
-
 // Map modulates bits (values 0/1, length a multiple of Bits()) into
 // symbols appended to dst, returning the extended slice.
 func (s Scheme) Map(dst []complex128, bits []uint8) []complex128 {
@@ -174,118 +169,79 @@ func (s Scheme) Map(dst []complex128, bits []uint8) []complex128 {
 	return dst
 }
 
-// Demap computes max-log LLRs for each bit of each received symbol and
-// appends them to dst. The LLR convention is
+// DemapEVM computes max-log LLRs for each bit of each received symbol,
+// appended to dst, and the EVM of the same symbols in one pass. The LLR
+// convention is
 //
 //	LLR(b) = (min_{s: b=1} |y-s|^2 - min_{s: b=0} |y-s|^2) / noiseVar
 //
 // so positive LLR means bit 0 is more likely — matching the turbo decoder's
-// input convention. noiseVar must be > 0.
-//
-// The search exploits the square Gray constellations: |y-s|^2 separates
-// into per-axis terms and each bit constrains only one axis, so the 2^Q
-// point scan collapses to two 2^(Q/2) level scans. The result is
-// bit-identical to the exhaustive search (the minimising point of the sum
-// is the pair of per-axis minimisers, and float rounding is monotone), and
-// TestDemapMatchesExhaustive holds the implementation to exactly that.
-func (s Scheme) Demap(dst []float64, syms []complex128, noiseVar float64) []float64 {
-	if noiseVar <= 0 {
+// input convention. noiseVar must be > 0. The EVM is the root-mean-square
+// distance of the symbols to their nearest constellation points, normalised
+// to the unit average constellation energy — the standard link-quality
+// metric (an EVM of 0.1 is -20 dB); it is 0 for no symbols.
+func (s Scheme) DemapEVM(dst []float64, syms []complex128, noiseVar float64) (llr []float64, evm float64) {
+	if !(noiseVar > 0) {
 		panic(fmt.Sprintf("modulation: non-positive noise variance %g", noiseVar))
 	}
-	q := s.Bits()
-	h := q / 2
-	lv := axisLevels[s]
-	nl := len(lv)
-	inv := 1 / noiseVar
-	// Per-axis squared distances and per-axis-bit subset minima.
-	var dI, dQ [8]float64
-	var i0, i1, q0, q1 [3]float64
-	for _, y := range syms {
-		yI, yQ := real(y), imag(y)
-		minI, minQ := math.Inf(1), math.Inf(1)
-		for t := 0; t < nl; t++ {
-			dr := yI - lv[t]
-			d := dr * dr
-			dI[t] = d
-			if d < minI {
-				minI = d
-			}
-			di := yQ - lv[t]
-			d = di * di
-			dQ[t] = d
-			if d < minQ {
-				minQ = d
-			}
+	n, bits := len(dst), s.Bits()*len(syms)
+	dst = slices.Grow(dst, bits)[:n+bits]
+	return dst, rms(s.demapEVM(dst[n:], syms, noiseVar), len(syms))
+}
+
+// rms turns a summed squared error over n symbols into the EVM.
+func rms(errPow float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return math.Sqrt(errPow / float64(n))
+}
+
+// demapEVM runs the axis kernel over syms: it fills out with Bits() LLRs
+// per symbol in transmitted bit order (even positions are I bits, odd are
+// Q bits) and returns the summed squared distance to the nearest points.
+func (s Scheme) demapEVM(out []float64, syms []complex128, noiseVar float64) (errPow float64) {
+	a := unit[s]
+	k := 4 * a / noiseVar
+	switch s {
+	case QPSK:
+		for i, y := range syms {
+			o := out[2*i : 2*i+2]
+			errPow += axis2(o, real(y), a, k) + axis2(o[1:], imag(y), a, k)
 		}
-		for b := 0; b < h; b++ {
-			mask := 1 << uint(h-1-b)
-			m0, m1 := math.Inf(1), math.Inf(1)
-			n0, n1 := math.Inf(1), math.Inf(1)
-			for t := 0; t < nl; t++ {
-				if t&mask != 0 {
-					if dI[t] < m1 {
-						m1 = dI[t]
-					}
-					if dQ[t] < n1 {
-						n1 = dQ[t]
-					}
-				} else {
-					if dI[t] < m0 {
-						m0 = dI[t]
-					}
-					if dQ[t] < n0 {
-						n0 = dQ[t]
-					}
-				}
-			}
-			i0[b], i1[b] = m0, m1
-			q0[b], q1[b] = n0, n1
+	case QAM16:
+		for i, y := range syms {
+			o := out[4*i : 4*i+4]
+			errPow += axis4(o, real(y), a, k) + axis4(o[1:], imag(y), a, k)
 		}
-		// Emit in transmitted bit order: even positions are I bits, odd are
-		// Q bits. The opposite axis contributes its unconstrained minimum to
-		// both hypotheses — added (not cancelled) so each hypothesis distance
-		// rounds exactly as the exhaustive point-wise sums did.
-		for p := 0; p < q; p++ {
-			b := p >> 1
-			if p&1 == 0 {
-				dst = append(dst, ((i1[b]+minQ)-(i0[b]+minQ))*inv)
-			} else {
-				dst = append(dst, ((q1[b]+minI)-(q0[b]+minI))*inv)
-			}
+	case QAM64:
+		for i, y := range syms {
+			o := out[6*i : 6*i+6]
+			errPow += axis6(o, real(y), a, k) + axis6(o[1:], imag(y), a, k)
 		}
 	}
+	return errPow
+}
+
+// evmChunk is how many symbols EVM and EVMF32 hand the kernel at a time.
+const evmChunk = 64
+
+// Demap is DemapEVM without the EVM.
+func (s Scheme) Demap(dst []float64, syms []complex128, noiseVar float64) []float64 {
+	dst, _ = s.DemapEVM(dst, syms, noiseVar)
 	return dst
 }
 
-// EVM returns the root-mean-square error-vector magnitude of the received
-// symbols relative to their nearest constellation points, normalised to
-// the unit average constellation energy — the standard link-quality
-// metric (an EVM of 0.1 is -20 dB).
+// EVM is DemapEVM without the LLRs, which land in a stack buffer a chunk of
+// symbols at a time.
 func (s Scheme) EVM(syms []complex128) float64 {
-	if len(syms) == 0 {
-		return 0
-	}
-	lv := axisLevels[s]
-	nl := len(lv)
+	var llr [6 * evmChunk]float64
 	var errPow float64
-	// Same per-axis separation as Demap: the nearest constellation point is
-	// the pair of nearest per-axis levels.
-	for _, y := range syms {
-		yI, yQ := real(y), imag(y)
-		minI, minQ := math.Inf(1), math.Inf(1)
-		for t := 0; t < nl; t++ {
-			dr := yI - lv[t]
-			if d := dr * dr; d < minI {
-				minI = d
-			}
-			di := yQ - lv[t]
-			if d := di * di; d < minQ {
-				minQ = d
-			}
-		}
-		errPow += minI + minQ
+	for i := 0; i < len(syms); i += evmChunk {
+		j := min(i+evmChunk, len(syms))
+		errPow += s.demapEVM(llr[:s.Bits()*(j-i)], syms[i:j], 1)
 	}
-	return math.Sqrt(errPow / float64(len(syms)))
+	return rms(errPow, len(syms))
 }
 
 // HardDecide converts LLRs to bits using the positive-means-zero

@@ -2,142 +2,75 @@ package modulation
 
 import (
 	"fmt"
-	"math"
+	"slices"
 )
 
 // Float32 split-plane demapper path: the receiver's float32 lane layout
 // (internal/phy/lane) carries equalised symbols as separate re/im
 // float32 planes, and the turbo decoder's input conversion happens once
-// per allocation at the job boundary, so the per-symbol search here runs
-// entirely in float32. The per-axis factorisation argument of Demap is
-// rounding-mode independent (the minimising point of a sum of per-axis
-// terms is the pair of per-axis minimisers under any monotone rounding),
-// so DemapF32 is bit-identical to an exhaustive float32 point scan.
+// per allocation at the job boundary, so the axis kernel runs here at its
+// float32 instantiation — the same code as the float64 demapper, with the
+// unit level narrowed once.
 
-// axisLevelsF32 narrows the per-axis PAM levels once; the float64 table
-// values are exactly representable only for QPSK, so the float32 path
-// consistently uses the narrowed levels everywhere (demap and EVM agree
-// with each other by construction).
-var axisLevelsF32 = func() [nSchemes][]float32 {
-	var tabs [nSchemes][]float32
-	for s, lv := range axisLevels {
-		tab := make([]float32, len(lv))
-		for i, v := range lv {
-			tab[i] = float32(v)
-		}
-		tabs[s] = tab
-	}
-	return tabs
-}()
-
-// inf32 is the float32 positive infinity used as the scan sentinel.
-var inf32 = float32(math.Inf(1))
-
-// DemapF32 is Demap over split-plane float32 symbols, producing float32
-// LLRs with the same convention (positive means bit 0 is more likely):
-//
-//	LLR(b) = (min_{s: b=1} |y-s|^2 - min_{s: b=0} |y-s|^2) / noiseVar
-//
-// symRe and symIm must have equal length; LLRs are appended to dst in
-// transmitted bit order. noiseVar must be > 0.
-func (s Scheme) DemapF32(dst []float32, symRe, symIm []float32, noiseVar float32) []float32 {
+// DemapEVMF32 is DemapEVM over split-plane float32 symbols, producing
+// float32 LLRs with the same convention (positive means bit 0 is more
+// likely). symRe and symIm must have equal length; LLRs are appended to
+// dst in transmitted bit order. noiseVar must be > 0. The per-symbol
+// nearest-point distances are computed in float32 and accumulated in
+// float64, so the EVM's reduction over a whole allocation does not lose
+// precision.
+func (s Scheme) DemapEVMF32(dst []float32, symRe, symIm []float32, noiseVar float32) (llr []float32, evm float64) {
 	if !(noiseVar > 0) {
 		panic(fmt.Sprintf("modulation: non-positive noise variance %g", noiseVar))
 	}
 	if len(symRe) != len(symIm) {
 		panic(fmt.Sprintf("modulation: plane lengths %d/%d differ", len(symRe), len(symIm)))
 	}
-	q := s.Bits()
-	h := q / 2
-	lv := axisLevelsF32[s]
-	nl := len(lv)
-	inv := 1 / noiseVar
+	n, bits := len(dst), s.Bits()*len(symRe)
+	dst = slices.Grow(dst, bits)[:n+bits]
+	return dst, rms(s.demapEVMF32(dst[n:], symRe, symIm, noiseVar), len(symRe))
+}
+
+// demapEVMF32 is demapEVM over equal-length split planes.
+func (s Scheme) demapEVMF32(out, symRe, symIm []float32, noiseVar float32) (errPow float64) {
+	a := float32(unit[s])
+	k := 4 * a / noiseVar
 	symIm = symIm[:len(symRe)]
-	// Per-axis squared distances and per-axis-bit subset minima, exactly
-	// the float64 demapper's scan narrowed to float32.
-	var dI, dQ [8]float32
-	var i0, i1, q0, q1 [3]float32
-	for idx := range symRe {
-		yI, yQ := symRe[idx], symIm[idx]
-		minI, minQ := inf32, inf32
-		for t := 0; t < nl; t++ {
-			dr := yI - lv[t]
-			d := dr * dr
-			dI[t] = d
-			if d < minI {
-				minI = d
-			}
-			di := yQ - lv[t]
-			d = di * di
-			dQ[t] = d
-			if d < minQ {
-				minQ = d
-			}
+	switch s {
+	case QPSK:
+		for i, yI := range symRe {
+			o := out[2*i : 2*i+2]
+			errPow += float64(axis2(o, yI, a, k)) + float64(axis2(o[1:], symIm[i], a, k))
 		}
-		for b := 0; b < h; b++ {
-			mask := 1 << uint(h-1-b)
-			m0, m1 := inf32, inf32
-			n0, n1 := inf32, inf32
-			for t := 0; t < nl; t++ {
-				if t&mask != 0 {
-					if dI[t] < m1 {
-						m1 = dI[t]
-					}
-					if dQ[t] < n1 {
-						n1 = dQ[t]
-					}
-				} else {
-					if dI[t] < m0 {
-						m0 = dI[t]
-					}
-					if dQ[t] < n0 {
-						n0 = dQ[t]
-					}
-				}
-			}
-			i0[b], i1[b] = m0, m1
-			q0[b], q1[b] = n0, n1
+	case QAM16:
+		for i, yI := range symRe {
+			o := out[4*i : 4*i+4]
+			errPow += float64(axis4(o, yI, a, k)) + float64(axis4(o[1:], symIm[i], a, k))
 		}
-		for p := 0; p < q; p++ {
-			b := p >> 1
-			if p&1 == 0 {
-				dst = append(dst, ((i1[b]+minQ)-(i0[b]+minQ))*inv)
-			} else {
-				dst = append(dst, ((q1[b]+minI)-(q0[b]+minI))*inv)
-			}
+	case QAM64:
+		for i, yI := range symRe {
+			o := out[6*i : 6*i+6]
+			errPow += float64(axis6(o, yI, a, k)) + float64(axis6(o[1:], symIm[i], a, k))
 		}
 	}
+	return errPow
+}
+
+// DemapF32 is DemapEVMF32 without the EVM.
+func (s Scheme) DemapF32(dst []float32, symRe, symIm []float32, noiseVar float32) []float32 {
+	dst, _ = s.DemapEVMF32(dst, symRe, symIm, noiseVar)
 	return dst
 }
 
-// EVMF32 is EVM over split-plane float32 symbols. The per-symbol nearest
-// -point distances are computed in float32, matching the demapper's
-// arithmetic, and accumulated in float64 so the reduction over a whole
-// allocation does not lose precision.
+// EVMF32 is DemapEVMF32 without the LLRs; see EVM.
 func (s Scheme) EVMF32(symRe, symIm []float32) float64 {
-	if len(symRe) == 0 {
-		return 0
-	}
-	lv := axisLevelsF32[s]
-	nl := len(lv)
-	symIm = symIm[:len(symRe)]
+	var llr [6 * evmChunk]float32
 	var errPow float64
-	for idx := range symRe {
-		yI, yQ := symRe[idx], symIm[idx]
-		minI, minQ := inf32, inf32
-		for t := 0; t < nl; t++ {
-			dr := yI - lv[t]
-			if d := dr * dr; d < minI {
-				minI = d
-			}
-			di := yQ - lv[t]
-			if d := di * di; d < minQ {
-				minQ = d
-			}
-		}
-		errPow += float64(minI) + float64(minQ)
+	for i := 0; i < len(symRe); i += evmChunk {
+		j := min(i+evmChunk, len(symRe))
+		errPow += s.demapEVMF32(llr[:s.Bits()*(j-i)], symRe[i:j], symIm[i:j], 1)
 	}
-	return math.Sqrt(errPow / float64(len(symRe)))
+	return rms(errPow, len(symRe))
 }
 
 // HardDecideF32 converts float32 LLRs to bits with the same

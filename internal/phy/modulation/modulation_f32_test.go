@@ -64,6 +64,33 @@ func TestDemapF32MatchesFloat64(t *testing.T) {
 	}
 }
 
+// TestDemapF32MatchesExhaustive holds the float32 demapper to the same
+// correctness contract as the float64 one, in float32 ulps, against the
+// oracle run in float32 arithmetic.
+func TestDemapF32MatchesExhaustive(t *testing.T) {
+	r := rng.New(11)
+	for _, s := range []Scheme{QPSK, QAM16, QAM64} {
+		check := func(re, im []float32, nv float32) {
+			t.Helper()
+			checkAgainstExhaustive(t, s, re, im, nv,
+				func() ([]float32, float64) { return s.DemapEVMF32(nil, re, im, nv) },
+				func() float64 { return s.EVMF32(re, im) })
+		}
+		for trial := 0; trial < 50; trial++ {
+			scale := 1 + 2*float64(trial%2)
+			re, im := make([]float32, 40), make([]float32, 40)
+			for i := range re {
+				re[i], im[i] = float32(scale*r.NormFloat64()), float32(scale*r.NormFloat64())
+			}
+			check(re, im, float32(0.01+r.Float64()))
+		}
+		re, im := gridSymbols[float32](s)
+		for _, nv := range []float32{1e-3, 0.37, 50} {
+			check(re, im, nv)
+		}
+	}
+}
+
 // TestEVMF32MatchesFloat64 pins the float32 EVM against the float64 EVM
 // on identical inputs.
 func TestEVMF32MatchesFloat64(t *testing.T) {
@@ -91,5 +118,26 @@ func TestDemapF32PanicsOnBadNoise(t *testing.T) {
 			}()
 			QPSK.DemapF32(nil, []float32{1}, []float32{1}, nv)
 		}()
+	}
+}
+
+// BenchmarkDemapEVMF32 is BenchmarkDemapEVM at the kernel's float32
+// instantiation, so the two widths can be compared without a traced run.
+func BenchmarkDemapEVMF32(b *testing.B) {
+	r := rng.New(2)
+	re, im := make([]float32, 1200), make([]float32, 1200)
+	for i := range re {
+		re[i], im[i] = float32(r.NormFloat64()), float32(r.NormFloat64())
+	}
+	for _, s := range schemes {
+		b.Run(s.String(), func(b *testing.B) {
+			var dst []float32
+			var evm float64
+			for i := 0; i < b.N; i++ {
+				dst, evm = s.DemapEVMF32(dst[:0], re, im, 0.1)
+			}
+			benchSink = evm
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/bit")
+		})
 	}
 }

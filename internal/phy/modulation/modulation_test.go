@@ -206,68 +206,183 @@ func TestBERUnderAWGN(t *testing.T) {
 	}
 }
 
-// demapExhaustive is the reference max-log demapper: a full scan of all
-// 2^Q constellation points per symbol. The production Demap factors the
-// search per axis; this reference holds it to bit-identical output.
-func demapExhaustive(s Scheme, dst []float64, syms []complex128, noiseVar float64) []float64 {
+// exhaustive is the single oracle for the closed-form kernel: a full scan
+// of all 2^Q constellation points per symbol in T arithmetic, the
+// definition of the max-log LLR and of the nearest point with no structure
+// assumed. Besides the LLRs it returns each symbol's squared distance to
+// the nearest and to the farthest point (the scale LLR rounding lives on),
+// and per bit whether the two hypothesis distances agree to 4 ulp: the
+// other axis' distance is part of both, so far out on it the scan cannot
+// resolve a decision however far the symbol is from the boundary.
+func exhaustive[T float](s Scheme, re, im []T, noiseVar T) (llr, nearest, farthest []T, tied []bool) {
 	q := s.Bits()
 	tab := s.Constellation()
-	inv := 1 / noiseVar
-	var d0, d1 [6]float64
-	for _, y := range syms {
+	inf := T(math.Inf(1))
+	for i := range re {
+		var d0, d1 [6]T
 		for b := 0; b < q; b++ {
-			d0[b] = math.Inf(1)
-			d1[b] = math.Inf(1)
+			d0[b], d1[b] = inf, inf
 		}
+		near, far := inf, T(0)
 		for idx, pt := range tab {
-			dr := real(y) - real(pt)
-			di := imag(y) - imag(pt)
+			dr := re[i] - T(real(pt))
+			di := im[i] - T(imag(pt))
 			d := dr*dr + di*di
+			near, far = min(near, d), max(far, d)
 			for b := 0; b < q; b++ {
 				if idx&(1<<uint(q-1-b)) != 0 {
-					if d < d1[b] {
-						d1[b] = d
-					}
-				} else if d < d0[b] {
-					d0[b] = d
+					d1[b] = min(d1[b], d)
+				} else {
+					d0[b] = min(d0[b], d)
 				}
 			}
 		}
 		for b := 0; b < q; b++ {
-			dst = append(dst, (d1[b]-d0[b])*inv)
+			llr = append(llr, (d1[b]-d0[b])/noiseVar)
+			tied = append(tied, abs(d1[b]-d0[b]) <= 4*ulp(max(d1[b], d0[b])))
 		}
+		nearest, farthest = append(nearest, near), append(farthest, far)
 	}
-	return dst
+	return llr, nearest, farthest, tied
 }
 
-// evmExhaustive is the reference EVM: nearest point by full scan.
-func evmExhaustive(s Scheme, syms []complex128) float64 {
-	if len(syms) == 0 {
-		return 0
+// ulp is the spacing of T at x.
+func ulp[T float](x T) T {
+	if _, ok := any(x).(float32); ok {
+		return T(math.Nextafter32(float32(x), float32(math.Inf(1))) - float32(x))
 	}
-	tab := s.Constellation()
+	return T(math.Nextafter(float64(x), math.Inf(1)) - float64(x))
+}
+
+// llrTol is the LLR agreement the contract demands, as a fraction of
+// (farthest point distance² / noiseVar): 1e-12 in float64 and the same
+// number of ulps (1e-12 · 2^29) in float32.
+func llrTol[T float]() float64 {
+	if _, ok := any(T(0)).(float32); ok {
+		return 1e-12 * (1 << 29)
+	}
+	return 1e-12
+}
+
+// nearBoundary reports whether axis coordinate y lies within 4 ulp of one
+// of the scheme's per-axis decision boundaries 0, ±2a, ±4a, ±6a (ulp taken
+// at the boundary; at the unit level a for the boundary 0). The oracle's
+// levels are rounded odd multiples of a and the kernel's boundaries exact
+// even ones, so the two place a boundary up to an ulp apart.
+func nearBoundary[T float](s Scheme, y T) bool {
+	a := T(unit[s])
+	u := abs(y)
+	if u <= 4*ulp(a) {
+		return true
+	}
+	levels := T(int(1) << (s.Bits() / 2))
+	for c := 2 * a; c < (levels-1)*a; c += 2 * a {
+		if abs(u-c) <= 4*ulp(c) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkAgainstExhaustive holds demap — DemapEVM at either width — to the
+// correctness contract against the oracle: hard decisions identical for
+// every bit the oracle resolves and whose axis coordinate is not within 4
+// ulp of a decision boundary, LLRs within llrTol, and the fused EVM equal to
+// both the oracle's and evm's (the standalone EVM of the same symbols).
+func checkAgainstExhaustive[T float](t *testing.T, s Scheme, re, im []T, noiseVar T,
+	demap func() ([]T, float64), evm func() float64) {
+	t.Helper()
+	q := s.Bits()
+	got, gotEVM := demap()
+	want, nearest, farthest, tied := exhaustive(s, re, im, noiseVar)
+	if len(got) != len(want) {
+		t.Fatalf("%v: %d LLRs, want %d", s, len(got), len(want))
+	}
 	var errPow float64
-	for _, y := range syms {
-		best := math.Inf(1)
-		for _, pt := range tab {
-			dr := real(y) - real(pt)
-			di := imag(y) - imag(pt)
-			if d := dr*dr + di*di; d < best {
-				best = d
+	for i := range re {
+		errPow += float64(nearest[i])
+		tol := llrTol[T]() * float64(farthest[i]) / float64(noiseVar)
+		for b := 0; b < q; b++ {
+			g, w := got[q*i+b], want[q*i+b]
+			if d := math.Abs(float64(g) - float64(w)); !(d <= tol) {
+				t.Fatalf("%v y=(%g,%g) nv=%g: LLR[%d] = %g, exhaustive %g (diff %g > %g)",
+					s, re[i], im[i], noiseVar, b, g, w, d, tol)
+			}
+			y := re[i]
+			if b&1 == 1 {
+				y = im[i]
+			}
+			if (g < 0) != (w < 0) && !tied[q*i+b] && !nearBoundary(s, y) {
+				t.Fatalf("%v y=(%g,%g): bit %d decided from LLR %g, exhaustive %g",
+					s, re[i], im[i], b, g, w)
 			}
 		}
-		errPow += best
 	}
-	return math.Sqrt(errPow / float64(len(syms)))
+	wantEVM := rms(errPow, len(re))
+	// A symbol's nearest distance carries an absolute rounding error of a
+	// few ulp of the unit level, so clean symbols bound the agreement with
+	// the oracle absolutely; the two production paths agree relatively.
+	if d := math.Abs(gotEVM - wantEVM); d > llrTol[T]()*(1+wantEVM) {
+		t.Fatalf("%v: fused EVM %g, exhaustive %g", s, gotEVM, wantEVM)
+	}
+	if alone := evm(); math.Abs(gotEVM-alone) > 1e-12*alone {
+		t.Fatalf("%v: fused EVM %g, standalone EVM %g", s, gotEVM, alone)
+	}
 }
 
-// TestDemapMatchesExhaustive pins the per-axis demapper to the exhaustive
-// full-constellation search, bit for bit: the separable search must pick
-// the same hypothesis distances, and the rounding order is arranged so even
-// the float results coincide exactly.
+// boundaryGrid returns axis coordinates that cross every region boundary
+// of the 64-QAM axis kernel (a superset of the other schemes') ulp by ulp —
+// 0, ±2a, ±4a, ±6a — plus the levels themselves, points between them and
+// points far outside the constellation.
+func boundaryGrid[T float](s Scheme) []T {
+	a := T(unit[s])
+	var g []T
+	for c := T(0); c <= 6*a; c += 2 * a {
+		step := ulp(max(c, a))
+		for j := T(-40); j <= 40; j++ {
+			g = append(g, c+j*step, -(c + j*step))
+		}
+	}
+	for _, m := range []T{0.5, 1, 1.5, 2.5, 3, 3.5, 4.5, 5, 5.5, 6.5, 7, 7.5, 8, 9, 12, 40, 1000, 1e6} {
+		g = append(g, m*a, -m*a)
+	}
+	return g
+}
+
+// gridSymbols crosses the dense boundary grid on one axis with a coarse
+// set of coordinates on the other, both ways round.
+func gridSymbols[T float](s Scheme) (re, im []T) {
+	a := T(unit[s])
+	coarse := []T{0, 0.7 * a, -2.9 * a, 4.2 * a, -7 * a, 25 * a}
+	for _, y := range boundaryGrid[T](s) {
+		for _, c := range coarse {
+			re, im = append(re, y, c), append(im, c, y)
+		}
+	}
+	return re, im
+}
+
+// split separates complex symbols into planes for the oracle.
+func split(syms []complex128) (re, im []float64) {
+	for _, y := range syms {
+		re, im = append(re, real(y)), append(im, imag(y))
+	}
+	return re, im
+}
+
+// TestDemapMatchesExhaustive holds the float64 demapper to the correctness
+// contract on random symbols (near and far from the constellation) and on
+// the dense sweep across every region boundary.
 func TestDemapMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, s := range schemes {
+		check := func(syms []complex128, nv float64) {
+			t.Helper()
+			re, im := split(syms)
+			checkAgainstExhaustive(t, s, re, im, nv,
+				func() ([]float64, float64) { return s.DemapEVM(nil, syms, nv) },
+				func() float64 { return s.EVM(syms) })
+		}
 		for trial := 0; trial < 50; trial++ {
 			syms := make([]complex128, 40)
 			for i := range syms {
@@ -278,17 +393,15 @@ func TestDemapMatchesExhaustive(t *testing.T) {
 				}
 				syms[i] = complex(scale*rng.NormFloat64(), scale*rng.NormFloat64())
 			}
-			nv := 0.01 + rng.Float64()
-			got := s.Demap(nil, syms, nv)
-			want := demapExhaustive(s, nil, syms, nv)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v trial %d: LLR[%d] = %g, exhaustive %g", s, trial, i, got[i], want[i])
-				}
-			}
-			if ge, we := s.EVM(syms), evmExhaustive(s, syms); ge != we {
-				t.Fatalf("%v trial %d: EVM %g, exhaustive %g", s, trial, ge, we)
-			}
+			check(syms, 0.01+rng.Float64())
+		}
+		re, im := gridSymbols[float64](s)
+		syms := make([]complex128, len(re))
+		for i := range syms {
+			syms[i] = complex(re[i], im[i])
+		}
+		for _, nv := range []float64{1e-3, 0.37, 50} {
+			check(syms, nv)
 		}
 	}
 }
@@ -303,12 +416,16 @@ func TestMapPanicsOnBitCount(t *testing.T) {
 }
 
 func TestDemapPanicsOnNoiseVar(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Demap with zero noise variance did not panic")
-		}
-	}()
-	QPSK.Demap(nil, []complex128{1}, 0)
+	for _, nv := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Demap accepted noiseVar %g", nv)
+				}
+			}()
+			QPSK.Demap(nil, []complex128{1}, nv)
+		}()
+	}
 }
 
 func BenchmarkDemap(b *testing.B) {
@@ -327,6 +444,29 @@ func BenchmarkDemap(b *testing.B) {
 	}
 }
 
+// BenchmarkDemapEVM times the fused kernel as the receiver calls it, in
+// ns per demapped bit.
+func BenchmarkDemapEVM(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	syms := make([]complex128, 1200)
+	for i := range syms {
+		syms[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	for _, s := range schemes {
+		b.Run(s.String(), func(b *testing.B) {
+			var dst []float64
+			var evm float64
+			for i := 0; i < b.N; i++ {
+				dst, evm = s.DemapEVM(dst[:0], syms, 0.1)
+			}
+			benchSink = evm
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/bit")
+		})
+	}
+}
+
+var benchSink float64
+
 func BenchmarkMap64QAM(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	bits := make([]uint8, 7200)
@@ -340,9 +480,9 @@ func BenchmarkMap64QAM(b *testing.B) {
 }
 
 func TestEVM(t *testing.T) {
-	// Clean constellation points: EVM 0.
+	// Clean constellation points: EVM 0, to the rounding of the 3a level.
 	tab := QAM16.Constellation()
-	if got := QAM16.EVM(tab); got != 0 {
+	if got := QAM16.EVM(tab); got > 1e-15 {
 		t.Errorf("EVM of exact points = %g", got)
 	}
 	// Known offset: every point displaced by 0.1 -> EVM exactly 0.1 as long

@@ -2,6 +2,7 @@ package turbo
 
 import (
 	"fmt"
+	"math"
 
 	"ltephy/internal/phy/workspace"
 )
@@ -375,7 +376,7 @@ func qTailBeta(tsys, tpar [3]int32) [nStates]int32 {
 }
 
 // quantizeLLR rounds llr*scale to nearest into int8, saturating at
-// ±qAprMax.
+// ±qAprMax; a NaN becomes 0, an erasure.
 func quantizeLLR(dst []int8, llr []float64, scale float64) {
 	for i, v := range llr {
 		dst[i] = int8(quantOne(v, scale))
@@ -384,18 +385,23 @@ func quantizeLLR(dst []int8, llr []float64, scale float64) {
 
 func quantOne(v, scale float64) int32 {
 	q := v * scale
-	var iv int32
+	if !(math.Abs(q) < qAprMax) {
+		// Saturated or NaN. Decided here, in float: converting either to
+		// int32 is platform-defined in Go (MinInt32 on amd64, so +Inf
+		// came out negative; 0 on arm64), and a hostile subframe must
+		// decode the same everywhere.
+		switch {
+		case q > 0:
+			return qAprMax
+		case q < 0:
+			return -qAprMax
+		}
+		return 0
+	}
 	if q >= 0 {
-		iv = int32(q + 0.5)
-	} else {
-		iv = int32(q - 0.5)
+		return int32(q + 0.5)
 	}
-	if iv > qAprMax {
-		iv = qAprMax
-	} else if iv < -qAprMax {
-		iv = -qAprMax
-	}
-	return iv
+	return int32(q - 0.5)
 }
 
 func sat8(v int32) int8 {

@@ -368,3 +368,27 @@ func BenchmarkDecodeQuant(b *testing.B) {
 		})
 	}
 }
+
+// TestQuantOneNonFinite pins the quantiser where Go's float-to-int
+// conversion is platform-defined: NaN is an erasure, infinities and
+// overflowing products saturate with their own sign, and finite in-range
+// values still round half away from zero.
+func TestQuantOneNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		v, scale float64
+		want     int32
+	}{
+		{math.NaN(), 1, 0}, {1, math.NaN(), 0}, {inf, 0, 0}, // Inf·0 = NaN
+		{inf, 1, qAprMax}, {-inf, 1, -qAprMax},
+		{1e300, 1e300, qAprMax}, {-1e300, 1e300, -qAprMax},
+		{5e9, 1, qAprMax}, {-5e9, 1, -qAprMax}, // past int32
+		{126.6, 1, qAprMax}, {-200, 1, -qAprMax},
+		{2.5, 1, 3}, {-2.5, 1, -3}, {0.49, 1, 0}, {math.Copysign(0, -1), 1, 0},
+		{5e-324, 1, 0}, {31, 0.5, 16},
+	} {
+		if got := quantOne(c.v, c.scale); got != c.want {
+			t.Errorf("quantOne(%g, %g) = %d, want %d", c.v, c.scale, got, c.want)
+		}
+	}
+}

@@ -389,8 +389,10 @@ func (j *UserJob) resolveNoiseAndCFO() {
 	} else {
 		nv = j.U.NoiseVar
 	}
-	if nv < 1e-12 {
-		nv = 1e-12 // keep the regularised Gram matrix invertible
+	if !(nv >= 1e-12) {
+		// Keeps the regularised Gram matrix invertible; written so that a
+		// NaN estimate (NaN IQ) is clamped too.
+		nv = 1e-12
 	}
 	j.nv = nv
 	if j.Cfg.CorrectCFO {
@@ -567,13 +569,10 @@ func (j *UserJob) finish(ws *workspace.Arena) {
 	m := ws.Mark()
 	deint := ws.Complex(len(j.combined))
 	deinterleaveSymbols(j.Cfg, deint, j.combined)
-	nv := j.nv
-	if nv <= 0 { // finish ran without the weight stage: fall back to genie
-		nv = math.Max(j.U.NoiseVar, 1e-9)
-	}
-	// Arena slices have capacity == length, so Demap's appends fill the
-	// buffer exactly without growing it.
-	llr := j.U.Params.Mod.Demap(ws.Float(j.format.TotalBits)[:0], deint, nv)
+	nv := j.backendNoiseVar()
+	// Arena slices have capacity == length, so DemapEVM fills the buffer
+	// exactly without growing it.
+	llr, evm := j.U.Params.Mod.DemapEVM(ws.Float(j.format.TotalBits)[:0], deint, nv)
 	if j.Cfg.Scramble {
 		DescrambleIn(ws, llr, j.U.Params.ID)
 	}
@@ -583,9 +582,9 @@ func (j *UserJob) finish(ws *workspace.Arena) {
 	payload, ok, halfIters := j.format.DecodeTransportBlockParams(j.bits[:0], ws, llr, dp)
 	j.bits = payload
 	res.NoiseVarEst = nv
-	res.EVM = j.U.Params.Mod.EVM(deint)
+	res.EVM = evm
 	res.Bits = payload
-	res.CRCOK = ok
+	res.CRCOK = ok && symbolsFinite(evm)
 	res.TurboHalfIters = halfIters
 	if j.U.Channel != nil {
 		res.ChannelMSE = j.channelMSE()
@@ -595,6 +594,29 @@ func (j *UserJob) finish(ws *workspace.Arena) {
 	// until the job-lifetime mark is released.
 	j.res = res
 	ws.Release(m)
+}
+
+// symbolsFinite reports whether every demapped symbol was finite, read off
+// the fused EVM (a NaN or infinite symbol anywhere makes the sum so). A block
+// with such symbols has not decoded, whatever the hard decisions of its NaN
+// LLRs spell — all zeros, which is a codeword with a valid CRC. A finite
+// symbol whose squared error overflows the sum (≳ 1e154 in float64, 1.8e19
+// in float32) fails the same way, deliberately: the constellation has unit
+// power, so a symbol of that size is hostile input, not signal.
+func symbolsFinite(evm float64) bool {
+	return !math.IsNaN(evm) && !math.IsInf(evm, 0)
+}
+
+// backendNoiseVar is the noise variance the demapper scales LLRs by: the
+// weight stage's, or the genie value when finish ran without it.
+func (j *UserJob) backendNoiseVar() float64 {
+	if j.nv > 0 {
+		return j.nv
+	}
+	if j.U.NoiseVar >= 1e-9 {
+		return j.U.NoiseVar
+	}
+	return 1e-9
 }
 
 // stampServing attaches the serving-layer metadata to a finished result:

@@ -444,10 +444,10 @@ func (j *UserJob) dataBatchF32(ws *workspace.Arena, from, to int) {
 	ws.Release(m)
 }
 
-// finishF32 is the float32 backend: split-plane deinterleave, float32
-// demap, one float32 -> float64 LLR widening (the turbo decoder and
-// HARQ keep their float64 interfaces), descramble, decode, CRC, and the
-// float32 EVM / channel-MSE metrics.
+// finishF32 is the float32 backend: split-plane deinterleave, fused
+// float32 demap + EVM, one float32 -> float64 LLR widening (the turbo
+// decoder and HARQ keep their float64 interfaces), descramble, decode,
+// CRC, and the float32 channel-MSE metric.
 //
 // The widened LLRs are stored in j.softBits past the scratch Release —
 // the same deliberate contract as finish: softBits survive on the arena
@@ -463,11 +463,8 @@ func (j *UserJob) finishF32(ws *workspace.Arena) {
 	deintIm := ws.Float32(total)
 	deinterleaveSymbolsF32(j.Cfg, deintRe, j.f32.combRe)
 	deinterleaveSymbolsF32(j.Cfg, deintIm, j.f32.combIm)
-	nv := j.nv
-	if nv <= 0 { // finish ran without the weight stage: fall back to genie
-		nv = math.Max(j.U.NoiseVar, 1e-9)
-	}
-	llr32 := j.U.Params.Mod.DemapF32(ws.Float32(j.format.TotalBits)[:0], deintRe, deintIm, float32(nv))
+	nv := j.backendNoiseVar()
+	llr32, evm := j.U.Params.Mod.DemapEVMF32(ws.Float32(j.format.TotalBits)[:0], deintRe, deintIm, float32(nv))
 	// The single float32 -> float64 conversion of the receive chain: the
 	// decoder, HARQ soft-combining and SoftBits() stay width-agnostic.
 	llr := ws.Float(j.format.TotalBits)
@@ -483,9 +480,9 @@ func (j *UserJob) finishF32(ws *workspace.Arena) {
 	payload, ok, halfIters := j.format.DecodeTransportBlockParams(j.bits[:0], ws, llr, dp)
 	j.bits = payload
 	res.NoiseVarEst = nv
-	res.EVM = j.U.Params.Mod.EVMF32(deintRe, deintIm)
+	res.EVM = evm
 	res.Bits = payload
-	res.CRCOK = ok
+	res.CRCOK = ok && symbolsFinite(evm)
 	res.TurboHalfIters = halfIters
 	if j.U.Channel != nil {
 		res.ChannelMSE = j.channelMSEF32()

@@ -278,12 +278,14 @@ func (f TransportFormat) DecodeTransportBlockParams(dst []uint8, ws *workspace.A
 		} else {
 			tb = make([]uint8, f.CodedBits) //ltephy:alloc-ok — payload outlives the arena by design; hot callers pass a preallocated dst
 		}
-		for i := range tb {
-			if llr[i] < 0 {
-				tb[i] = 1
-			} else {
-				tb[i] = 0
+		// The bits are random, so a branch on the sign mispredicts every
+		// other bit: b is a flag materialisation, not a jump.
+		for i, l := range llr[:len(tb)] {
+			var b uint8
+			if l < 0 {
+				b = 1
 			}
+			tb[i] = b
 		}
 	}
 	crcOK = tbCRC.CheckBits(tb)

@@ -155,7 +155,10 @@ type UserResult struct {
 	// HARQProcess.Absorb consumes when soft-combining runs outside the
 	// job's arena lifetime (e.g. the fronthaul HARQ ledger).
 	SoftBits []float64
-	// CRCOK reports whether the transport-block CRC24A verified.
+	// CRCOK reports whether the transport-block CRC24A verified and the
+	// equalised symbols it was decoded from were finite (EVM is finite): a
+	// NaN or Inf symbol — or one so large its squared error overflows —
+	// fails the block even if the hard decisions carry a valid CRC.
 	CRCOK bool
 	// Bits is the decoded payload (excluding CRC).
 	Bits []uint8
