@@ -74,9 +74,10 @@ bench:
 fft-sweep:
 	$(GO) test -run TestAccuracySweepAllLTELengths -count=1 ./internal/phy/fft/
 
-# FFT engine microbenchmarks: single transforms over representative smooth
-# and Bluestein lengths, plus batched-vs-looped comparisons. Compare
-# against the pre-change figures in BENCH_fft_baseline.json.
+# FFT engine microbenchmarks: single transforms at LTE allocation widths —
+# smooth, prime-radix and one that takes Bluestein, labelled from the plan,
+# with ns/point — plus batched-vs-looped comparisons. EXPERIMENTS.md (PR 13)
+# has the per-length table on the reference box.
 bench-fft:
 	$(GO) test -bench 'BenchmarkForward' -benchmem -run '^$$' ./internal/phy/fft/
 
@@ -175,16 +176,19 @@ fleet-smoke:
 		-json results/fleet_scale.json
 	@echo "fleet-smoke: OK"
 
-# Benchmark smoke: the repository benchmark (BENCHMARK.json) on its
-# reference workload for 3 s, untraced then traced. Every pass is compared
-# bit for bit with a golden serial pass, so a receiver change that breaks
-# it fails here rather than in the pipeline's benchmark run; the run's last
-# line is its JSON verdict.
+# Benchmark smoke: the repository benchmark (BENCHMARK.json) for 3 s on its
+# reference workload, untraced then traced, and on frontend_wide untraced —
+# the workload with a prime-radix transform length (22 PRB, n = 264). Every
+# pass is compared bit for bit with a golden serial pass, so a receiver
+# change that breaks it fails here rather than in the pipeline's benchmark
+# run; the run's last line is its JSON verdict.
 benchmark-smoke:
-	@set -e; mkdir -p .bench_build; for trace in 0 1; do \
-		bash benchmark/run.sh --workload ref_passthrough --seconds 3 --trace $$trace | tee .bench_build/smoke.txt; \
+	@set -e; mkdir -p .bench_build; \
+	for run in "ref_passthrough 0" "ref_passthrough 1" "frontend_wide 0"; do \
+		set -- $$run; \
+		bash benchmark/run.sh --workload $$1 --seconds 3 --trace $$2 | tee .bench_build/smoke.txt; \
 		tail -n 1 .bench_build/smoke.txt | grep -q '"correct":true' || \
-			{ echo "benchmark-smoke: --trace $$trace did not end with \"correct\":true"; exit 1; }; \
+			{ echo "benchmark-smoke: $$1 --trace $$2 did not end with \"correct\":true"; exit 1; }; \
 	done
 	@echo "benchmark-smoke: OK"
 

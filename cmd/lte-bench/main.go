@@ -433,16 +433,18 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runFFTBench times the FFT engine natively: single transforms over
-// representative smooth and Bluestein lengths, then batched vs looped over
-// an 8-vector grid — the shape the receiver's channel-estimation and
-// despread stages batch over. Compare against BENCH_fft_baseline.json.
+// runFFTBench times the FFT engine natively at LTE allocation widths —
+// smooth (240, 288, 600, 1200), prime-radix from 11 to 97 (132 … 1164) and
+// 2388 = 12*199, which still takes Bluestein: single transforms with
+// ns/point, then batched vs looped over an 8-vector grid — the shape the
+// receiver's channel-estimation and despread stages batch over. The path
+// label comes from the plan.
 func runFFTBench(w io.Writer) error {
 	rng := rand.New(rand.NewSource(1))
 	ws := workspace.New()
 	fmt.Fprintln(w, "FFT engine microbenchmarks (ns/op):")
-	fmt.Fprintf(w, "%8s %12s %14s %14s\n", "n", "single", "batched(x8)", "looped(x8)")
-	for _, n := range []int{24, 144, 300, 600, 1200, 2400, 97, 199, 1201} {
+	fmt.Fprintf(w, "%8s %12s %10s %14s %14s\n", "n", "single", "ns/point", "batched(x8)", "looped(x8)")
+	for _, n := range []int{132, 240, 264, 276, 288, 564, 600, 1164, 1200, 2388} {
 		p := fft.Get(n)
 		const howMany = 8
 		src := make([]complex128, howMany*n)
@@ -468,11 +470,11 @@ func runFFTBench(w io.Writer) error {
 			}
 		})
 		kind := ""
-		if n == 97 || n == 199 || n == 1201 {
+		if p.Bluestein() {
 			kind = "  (Bluestein)"
 		}
-		fmt.Fprintf(w, "%8d %12d %14d %14d%s\n",
-			n, single.NsPerOp(), batched.NsPerOp(), looped.NsPerOp(), kind)
+		fmt.Fprintf(w, "%8d %12d %10.1f %14d %14d%s\n",
+			n, single.NsPerOp(), float64(single.NsPerOp())/float64(n), batched.NsPerOp(), looped.NsPerOp(), kind)
 	}
 	return nil
 }

@@ -40,14 +40,17 @@ const (
 // cost for every length. The native receiver's iterative stage-planned
 // engine (internal/phy/fft) reports its true per-stage butterfly cost via
 // Plan.Ops() — within a small constant factor of this model on smooth
-// lengths (TestFFTOpsTracksPlanOps pins that) — and falls back to
-// Bluestein for lengths with large prime factors at ~10x cost. That cliff
-// is an artifact of this reproduction — 3GPP restricts DFT-precoding sizes
-// to 2/3/5-smooth values and proprietary kernels handle the rest with
-// mixed radices — so the simulator's workload model deliberately smooths
-// over it rather than calling Plan.Ops(). This keeps Fig. 11's near-linear
-// activity-vs-PRB curves, which the paper measured and the estimator's
-// linear fit assumes.
+// lengths (TestFFTOpsTracksPlanOps pins that). A length with a large prime
+// factor costs it more: the odd-prime pass is quadratic in its radix, so
+// ns/point climbs from ~7 (smooth) through ~10 at radix 11 (22 PRB) to
+// ~35 at radix 109, and from radix 127 up Bluestein takes over at ~35-45
+// — a ramp where there used to be a 5-9x cliff at every non-7-smooth
+// length. The ramp is still an artifact of this reproduction — 3GPP
+// restricts DFT-precoding sizes to 2/3/5-smooth values and proprietary
+// kernels handle the rest with mixed radices — so the simulator's workload
+// model deliberately smooths over it rather than calling Plan.Ops(). This
+// keeps Fig. 11's near-linear activity-vs-PRB curves, which the paper
+// measured and the estimator's linear fit assumes.
 func fftOps(n int) float64 {
 	if n < 2 {
 		return 8
@@ -104,8 +107,8 @@ func (m Model) ChanEstTask(n int) float64 {
 
 // WeightsTask is the per-user serial MMSE weight computation. The model
 // assumes an optimised production kernel — structure-exploiting Hermitian
-// solve at ~8*(A*L + L^2) ops per subcarrier per slot — rather than our
-// reference implementation's full Gram + Gauss-Jordan; the weights step
+// solve at ~8*(A*L + L^2) ops per subcarrier per slot (the receiver's
+// lower-triangle Gram + Cholesky is of that shape); the weights step
 // must stay a modest serial fraction for the paper's throughput (Fig. 12
 // sustains 97% activity) to be reachable.
 func (m Model) WeightsTask(n, ant, layers int) float64 {

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -374,5 +377,57 @@ func TestRebalanceOnceMoves(t *testing.T) {
 	}
 	if p := co.Placement(); p.Owner[moves[0].Cell] != 1 {
 		t.Fatalf("placement not updated by rebalance: %v", p.Owner)
+	}
+}
+
+// sinkWorker is a Worker whose data plane is whatever listener the test
+// points it at.
+type sinkWorker struct{ network, addr string }
+
+func (w sinkWorker) Index() int                    { return 0 }
+func (w sinkWorker) DataAddr() (string, string)    { return w.network, w.addr }
+func (w sinkWorker) ControlAddr() (string, string) { return "", "" }
+func (w sinkWorker) FetchURL() string              { return "" }
+func (w sinkWorker) Done() <-chan struct{}         { return nil }
+func (w sinkWorker) Kill()                         {}
+
+// TestWriteAfterReconnectSendsOnce pins the generator's write contract: a
+// frame is entered into the replay ring before write is called, so when
+// write has to (re)connect, the reconnect's replay of the ring already
+// carries it and write must not send it a second time. The copy's
+// immediate AckDuplicate would otherwise race the original's AckDone for
+// which of the two the generator counts.
+func TestWriteAfterReconnectSendsOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	received := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			received <- nil
+			return
+		}
+		defer conn.Close()
+		b, _ := io.ReadAll(conn)
+		received <- b
+	}()
+	co := &Coordinator{
+		placement: Placement{Owner: []int{0}},
+		workers:   []*workerState{{w: sinkWorker{"tcp", ln.Addr().String()}}},
+	}
+	frames := map[int64][]byte{0: []byte("frame-0;"), 1: []byte("frame-1;"), 2: []byte("frame-2;")}
+	g := &cellHarness{cfg: HarnessConfig{Coordinator: co}, frames: frames}
+	if err := g.write(frames[2], time.Now().Add(5*time.Second)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	g.dropConn() // EOF for the sink
+	if got, want := <-received, []byte("frame-0;frame-1;frame-2;"); !bytes.Equal(got, want) {
+		t.Errorf("sink received %q, want the ring once, in order: %q", got, want)
+	}
+	if g.stats.Reconnects != 1 || g.stats.Replayed != 3 {
+		t.Errorf("reconnects = %d, replayed = %d, want 1 and 3", g.stats.Reconnects, g.stats.Replayed)
 	}
 }

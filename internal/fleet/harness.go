@@ -397,14 +397,22 @@ func (g *cellHarness) trim() {
 	}
 }
 
-// write sends one frame, reconnecting (with replay) as needed.
+// write sends one frame — already in the replay ring — reconnecting (with
+// replay) as needed.
 func (g *cellHarness) write(frame []byte, deadline time.Time) error {
 	for {
 		if g.conn == nil {
 			if err := g.reconnect(deadline); err != nil {
 				return err
 			}
-			continue // reconnect replays everything, including frame
+			if g.conn != nil {
+				// The replay carried the whole ring, frame included. Writing
+				// it again would race the copy's AckDuplicate (immediate)
+				// against the original's AckDone (after processing) for
+				// which one the generator counts.
+				return nil
+			}
+			continue // the replay lost the connection again
 		}
 		if _, err := g.conn.Write(frame); err != nil {
 			g.dropConn()

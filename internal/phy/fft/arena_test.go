@@ -7,16 +7,18 @@ import (
 	"ltephy/internal/phy/workspace"
 )
 
-// TestInterleavedLengths pins the scratch-pool safety audit (ISSUE 1
-// satellite): transforms of many different lengths — mixed-radix and
-// Bluestein — interleaved on a single goroutine must not contaminate each
-// other through pooled scratch. The pools are per-plan, and sub-level
-// recursion slices the plan-length buffer down to the sublength it needs;
-// a cross-length reuse bug would show up here as a wrong result on the
-// second or later pass over the sizes.
+// TestInterleavedLengths pins the scratch-safety audit: transforms of many
+// different lengths — smooth, prime-radix (264, 31) and Bluestein (199,
+// 331) — interleaved on a single goroutine must not contaminate each other
+// through pooled scratch. The pools are per-plan; a cross-length reuse bug
+// would show up here as a wrong result on the second or later pass over
+// the sizes.
 func TestInterleavedLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sizes := []int{2400, 12, 97, 1024, 31, 300, 199, 60, 625, 144}
+	sizes := []int{2400, 12, 264, 1024, 31, 300, 199, 60, 331, 144}
+	if !Get(199).Bluestein() || !Get(331).Bluestein() || Get(264).Bluestein() {
+		t.Fatal("199 and 331 must take Bluestein and 264 the direct path for this test to cover both")
+	}
 	srcs := make([][]complex128, len(sizes))
 	wants := make([][]complex128, len(sizes))
 	for i, n := range sizes {
@@ -115,10 +117,13 @@ func TestBluesteinArenaZeroTail(t *testing.T) {
 	// Corruption hunt: every Bluestein length's x[n:m) tail lands on arena
 	// memory the preceding transforms filled with nonzero data.
 	rng := rand.New(rand.NewSource(13))
-	bluLens := []int{97, 199, 331, 1201}
+	bluLens := []int{199, 331, 1201, 2388}
 	srcs := make([][]complex128, len(bluLens))
 	wants := make([][]complex128, len(bluLens))
 	for i, n := range bluLens {
+		if !Get(n).Bluestein() {
+			t.Fatalf("n=%d no longer takes Bluestein: pick a length that does", n)
+		}
 		srcs[i] = randVec(rng, n)
 		wants[i] = make([]complex128, n)
 		Get(n).Forward(wants[i], srcs[i]) // pool path reference
@@ -147,10 +152,11 @@ func TestBluesteinArenaZeroTail(t *testing.T) {
 }
 
 // TestArenaTransformZeroAlloc asserts the arena path performs no heap
-// allocation in steady state, for both a mixed-radix and a Bluestein size.
+// allocation in steady state, for a smooth, a prime-radix and a Bluestein
+// size.
 func TestArenaTransformZeroAlloc(t *testing.T) {
 	ws := workspace.New()
-	for _, n := range []int{1200, 97} {
+	for _, n := range []int{1200, 264, 199} {
 		p := Get(n)
 		src := randVec(rand.New(rand.NewSource(3)), n)
 		dst := make([]complex128, n)

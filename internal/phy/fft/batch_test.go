@@ -8,8 +8,9 @@ import (
 )
 
 // batchSizes covers the structural cases of the batched API: trivial,
-// single-stage, even and odd stage counts, and Bluestein.
-var batchSizes = []int{1, 4, 12, 48, 96, 144, 97, 300}
+// single-stage (4, and the lone radix-97 pass), even and odd stage counts,
+// a prime-radix last pass (264) and Bluestein (199).
+var batchSizes = []int{1, 4, 12, 48, 96, 144, 97, 264, 199, 300}
 
 // TestForwardBatchMatchesLooped pins the batched API's contract: a batch
 // of howMany transforms is bit-identical to howMany individual ForwardIn
@@ -74,7 +75,7 @@ func TestInverseBatchMatchesLooped(t *testing.T) {
 func TestBatchStrided(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ws := workspace.New()
-	for _, n := range []int{12, 72, 97} {
+	for _, n := range []int{12, 72, 97, 199} {
 		p := Get(n)
 		const howMany = 4
 		srcStride := n
@@ -118,10 +119,10 @@ func TestBatchInPlace(t *testing.T) {
 }
 
 // TestBatchZeroAlloc asserts the arena-backed batch path stays heap-free
-// in steady state, including the Bluestein fallback.
+// in steady state, on the prime-radix and Bluestein paths too.
 func TestBatchZeroAlloc(t *testing.T) {
 	ws := workspace.New()
-	for _, n := range []int{144, 97} {
+	for _, n := range []int{144, 264, 199} {
 		p := Get(n)
 		const howMany = 6
 		src := randVec(rand.New(rand.NewSource(25)), howMany*n)
@@ -192,8 +193,8 @@ func BenchmarkForwardBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkForwardBatchBluestein(b *testing.B) {
-	for _, n := range []int{97, 199} {
+func BenchmarkForwardBatchPrimeRadix(b *testing.B) {
+	for _, n := range []int{264, 1164, 2388} {
 		b.Run(sizeName(n), func(b *testing.B) { benchBatchVsLooped(b, n, 8) })
 	}
 }

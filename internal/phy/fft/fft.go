@@ -2,16 +2,23 @@
 // over complex128 data.
 //
 // LTE uplink allocations span nPRB*12 subcarriers for nPRB in [2, 200], so
-// transform lengths are rarely powers of two. Lengths whose prime factors
-// are all <= 7 run on an iterative, stage-planned Stockham engine: New(n)
-// decomposes n into an explicit list of radix stages (4 first, then 2, 3,
-// 5, 7) with one precomputed twiddle table per stage, so the transform
-// loop performs no modulo arithmetic, no recursion and no per-level
-// scratch copies — each stage is a single pass between two ping-pong
-// buffers through a specialised radix-2/3/4/5 butterfly kernel (radix-4
-// folds what would be two radix-2 levels into one pass). Any other length
-// falls back to Bluestein's chirp-z algorithm built on a power-of-two
-// plan, which itself runs on the same iterative engine.
+// transform lengths are rarely powers of two and routinely carry a prime
+// factor above 7 (22 PRB is 264 = 2^3*3*11). Every such length runs on one
+// iterative, stage-planned Stockham engine: New(n) decomposes n into an
+// explicit list of radix stages (4 first, then 2, 3, 5, then the remaining
+// odd primes in ascending order) with one precomputed twiddle table per
+// stage, so the transform loop performs no modulo arithmetic, no recursion
+// and no per-level scratch copies — each stage is a single pass between two
+// ping-pong buffers. Radices 2, 3, 4 and 5 have specialised butterflies
+// (radix-4 folds what would be two radix-2 levels into one pass); every odd
+// prime from 7 up shares one kernel that folds the conjugate-symmetric input
+// pairs once and then needs only real cos/sin tables. Its cost per point
+// grows with the radix, so New compares the schedule's operation count with
+// that of Bluestein's chirp-z algorithm — two transforms of the cheapest
+// 7-smooth length m >= 2n-1 on this same engine — and takes whichever is
+// lower: every allocation up to 110 PRB is direct, Bluestein remains for
+// lengths whose largest prime factor is 127 or above. Plan.Bluestein
+// reports which path a plan took.
 //
 // The inverse transform is the forward transform followed by an in-place
 // index reversal and 1/N scale (IDFT(x)[k] = DFT(x)[(N-k) mod N]/N), so
@@ -32,33 +39,35 @@
 // — while the plain Forward/Inverse draw from per-plan sync.Pools, the
 // fallback for callers without an arena.
 //
-// Scratch-pool safety audit (ISSUE 1 satellite, re-verified for the
-// iterative engine): every sync.Pool here is a field of the Plan (or its
+// Scratch-safety audit: every sync.Pool here is a field of the Plan (or its
 // bluestein) it serves, so pooled buffers are keyed by plan identity and
 // two plans never exchange buffers, even for the same length (Get memoises
-// one Plan per length; a Bluestein plan's power-of-two inner Plan is
-// private to it). All pooled buffers are full plan length; every stage
-// pass overwrites its whole output buffer, so no stale contents can leak
-// between interleaved transforms of different sizes on one goroutine. The
+// one Plan per length; a Bluestein plan's inner Plan is private to it). All
+// pooled buffers are full plan length; every stage pass overwrites its
+// whole output buffer, so no stale contents can leak between interleaved
+// transforms of different sizes on one goroutine. The odd-prime kernel's
+// fold buffer is a stack array it fills before reading, per butterfly. The
 // one buffer with a read-before-write region is Bluestein's padded chirp
 // input x[n:m), which the engine explicitly zeroes on acquisition from a
 // pool and between batch iterations, and which an Arena guarantees zeroed
 // on handout; TestInterleavedLengths and TestBluesteinArenaZeroTail pin
-// this.
+// this on lengths that take Bluestein.
 package fft
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"ltephy/internal/phy/workspace"
 )
 
-// maxRadix is the largest prime factor handled by the mixed-radix path.
-// Lengths with a larger prime factor use Bluestein's algorithm.
-const maxRadix = 7
+// maxOddRadix is the largest odd prime factor the direct path accepts; it
+// sizes the odd-prime kernel's stack fold buffer. The operation-count
+// comparison hands lengths to Bluestein well below it (no length up to
+// 20000 with a prime factor above 139 is cheaper direct), so it binds only
+// as a guard.
+const maxOddRadix = 251
 
 // stage is one pass of the iterative Stockham pipeline. Entering stage i
 // the data is organised as s interleaved sequences of length r*m; the pass
@@ -68,15 +77,18 @@ const maxRadix = 7
 //
 // for p in [0,m), j in [0,r), q in [0,s), with W_k = exp(-2*pi*i/k). The
 // twiddles W_{r*m}^{j*p} are precomputed in tw, laid out per butterfly:
-// tw[(r-1)*p + j-1] (j = 0 needs none). The radix kernels below hard-code
-// the W_r^{j*c} sub-DFT for r = 2, 3, 4, 5; other radices (only 7 here)
-// use the generic kernel with the precomputed root[j*r+c] table.
+// tw[(r-1)*p + j-1] (j = 0 needs none; on the last pass, m = 1, they are
+// all 1). The radix kernels below hard-code the W_r^{j*c} sub-DFT for
+// r = 2, 3, 4, 5; odd primes from 7 up use stageOdd with the real cos/sin
+// tables.
 type stage struct {
-	r    int          // radix
-	m    int          // sub-sequence length after this pass
-	s    int          // interleaved sequences entering this pass
-	tw   []complex128 // (r-1)*m twiddles, tw[(r-1)*p+j-1] = W_{r*m}^{j*p}
-	root []complex128 // generic radix only: r*r table, root[j*r+c] = W_r^{(j*c) mod r}
+	r  int          // radix
+	m  int          // sub-sequence length after this pass
+	s  int          // interleaved sequences entering this pass
+	tw []complex128 // (r-1)*m twiddles, tw[(r-1)*p+j-1] = W_{r*m}^{j*p}
+	// Odd-prime kernel only, h = r/2: cos[(j-1)*h+c-1] = cos(2*pi*j*c/r) and
+	// sin likewise, for j, c in [1, h].
+	cos, sin []float64
 }
 
 // Plan holds the precomputed state needed to transform vectors of a fixed
@@ -85,9 +97,9 @@ type stage struct {
 // warm per-plan pool) supplies scratch.
 type Plan struct {
 	n       int
-	stages  []stage    // empty when n == 1 or !smooth
-	smooth  bool       // true when n factors into primes <= maxRadix
-	blu     *bluestein // non-nil when !smooth
+	stages  []stage    // direct path; empty when n == 1 or blu != nil
+	blu     *bluestein // non-nil when the plan takes Bluestein
+	ops     float64    // see Ops
 	scratch sync.Pool  // *[]complex128 of length n (ping-pong buffer)
 }
 
@@ -98,11 +110,12 @@ func New(n int) *Plan {
 	if n <= 0 {
 		panic(fmt.Sprintf("fft: invalid transform length %d", n))
 	}
-	p := &Plan{n: n, smooth: isSmooth(n)}
-	if p.smooth {
-		p.stages = buildStages(n)
+	radices, m, ops := choosePath(n)
+	p := &Plan{n: n, ops: ops}
+	if m == 0 {
+		p.stages = buildStages(n, radices)
 	} else {
-		p.blu = newBluestein(n)
+		p.blu = newBluestein(n, m)
 	}
 	p.scratch.New = func() any {
 		s := make([]complex128, n)
@@ -114,11 +127,39 @@ func New(n int) *Plan {
 // Len returns the transform length the plan was built for.
 func (p *Plan) Len() int { return p.n }
 
-// buildStages decomposes n (smooth, > 1 allowed; n == 1 yields no stages)
-// into the stage list: radix-4 passes first (each folding two radix-2
-// levels), one leftover radix 2, then 3, 5, 7. Larger radices early keep
-// the later, wider passes (large s) on the cheapest kernels.
-func buildStages(n int) []stage {
+// Bluestein reports whether the plan runs the chirp-z algorithm instead of
+// direct radix stages — the choice New made by operation count.
+func (p *Plan) Bluestein() bool { return p.blu != nil }
+
+// choosePath decides how length n is transformed, for both element widths:
+// direct with the returned radix schedule (m == 0), or Bluestein with
+// convolution length m. ops is the winner's operation count. A 7-smooth n
+// is always direct — Bluestein's inner plans end the recursion there — and
+// any other n takes whichever count is lower.
+func choosePath(n int) (radices []int, m int, ops float64) {
+	radices = radixSchedule(n)
+	direct := scheduleOps(n, radices)
+	if n == 1 {
+		return radices, 0, direct
+	}
+	largest := radices[len(radices)-1] // ascending odd primes: the last is the largest
+	if largest <= 7 {
+		return radices, 0, direct
+	}
+	m, blu := bluesteinPlan(n)
+	if largest <= maxOddRadix && direct <= blu {
+		return radices, 0, direct
+	}
+	return nil, m, blu
+}
+
+// radixSchedule factors n into the Stockham pass order: radix-4 passes
+// first (each folding two radix-2 levels), one leftover radix 2, then the
+// odd primes in ascending order. Larger radices late keep the earlier
+// passes on the cheapest kernels and put the largest odd prime — whose
+// kernel is quadratic in the radix — on the last pass, which needs no
+// twiddles. n == 1 yields no radices.
+func radixSchedule(n int) []int {
 	var radices []int
 	rem := n
 	for rem%4 == 0 {
@@ -129,22 +170,63 @@ func buildStages(n int) []stage {
 		radices = append(radices, 2)
 		rem /= 2
 	}
-	for _, r := range []int{3, 5, 7} {
+	for r := 3; r*r <= rem; r += 2 {
 		for rem%r == 0 {
 			radices = append(radices, r)
 			rem /= r
 		}
 	}
-	if rem != 1 {
-		panic(fmt.Sprintf("fft: buildStages called for non-smooth length %d", n))
+	if rem > 1 {
+		radices = append(radices, rem)
 	}
+	return radices
+}
+
+// scheduleOps is the operation count of one transform on the given
+// schedule: per stage, its n/r butterflies times the kernel's cost.
+func scheduleOps(n int, radices []int) float64 {
+	if n == 1 {
+		return 1
+	}
+	ops := 0.0
+	for _, r := range radices {
+		ops += float64(n/r) * butterflyOps(r)
+	}
+	return ops
+}
+
+// bluesteinPlan returns the cheapest convolution length for a length-n
+// chirp-z transform — the 7-smooth m in [2n-1, next power of two] whose
+// direct plan has the lowest operation count (n = 2388: 5120 rather than
+// 8192) — and the operation count of the whole transform on it: the
+// forward and inverse transforms of size m (the kernel's is paid at
+// construction), the inverse's 1/m scale, the pointwise multiply and the
+// two chirp multiplies.
+func bluesteinPlan(n int) (m int, ops float64) {
+	inner := math.Inf(1)
+	for c := 2*n - 1; ; c++ {
+		if !isSmooth(c) {
+			continue
+		}
+		if o := scheduleOps(c, radixSchedule(c)); o < inner {
+			m, inner = c, o
+		}
+		if c&(c-1) == 0 {
+			return m, 2*inner + 8*float64(m) + 12*float64(n)
+		}
+	}
+}
+
+// buildStages lays out the stage list for the schedule, with one twiddle
+// table per pass and the cos/sin tables of each odd-prime pass.
+func buildStages(n int, radices []int) []stage {
 	stages := make([]stage, 0, len(radices))
 	s, cur := 1, n
 	for _, r := range radices {
 		m := cur / r
 		st := stage{r: r, m: m, s: s, tw: stageTwiddles(r, m)}
 		if r > 5 {
-			st.root = radixRoots(r)
+			st.cos, st.sin = oddRadixTables(r)
 		}
 		stages = append(stages, st)
 		cur = m
@@ -166,17 +248,21 @@ func stageTwiddles(r, m int) []complex128 {
 	return tw
 }
 
-// radixRoots returns the r*r sub-DFT matrix root[j*r+c] = W_r^{(j*c) mod r}
-// for the generic kernel.
-func radixRoots(r int) []complex128 {
-	root := make([]complex128, r*r)
-	for j := 0; j < r; j++ {
-		for c := 0; c < r; c++ {
-			theta := -2 * math.Pi * float64((j*c)%r) / float64(r)
-			root[j*r+c] = complex(math.Cos(theta), math.Sin(theta))
+// oddRadixTables returns the h*h tables cos[(j-1)*h+c-1] = cos(2*pi*j*c/r)
+// and sin likewise (h = r/2) for the odd-prime kernel; j*c is reduced
+// mod r first so the argument stays small.
+func oddRadixTables(r int) (cos, sin []float64) {
+	h := r / 2
+	cos = make([]float64, h*h)
+	sin = make([]float64, h*h)
+	for j := 1; j <= h; j++ {
+		for c := 1; c <= h; c++ {
+			theta := 2 * math.Pi * float64((j*c)%r) / float64(r)
+			cos[(j-1)*h+c-1] = math.Cos(theta)
+			sin[(j-1)*h+c-1] = math.Sin(theta)
 		}
 	}
-	return root
+	return cos, sin
 }
 
 // Forward computes the forward DFT of src into dst:
@@ -192,7 +278,7 @@ func (p *Plan) Forward(dst, src []complex128) { p.ForwardIn(nil, dst, src) }
 // allocation in steady state). A nil ws falls back to the plan's pool.
 func (p *Plan) ForwardIn(ws *workspace.Arena, dst, src []complex128) {
 	p.checkLen(dst, src)
-	if !p.smooth {
+	if p.blu != nil {
 		p.blu.transform(ws, dst, src)
 		return
 	}
@@ -317,7 +403,7 @@ func (p *Plan) ForwardBatchStrided(ws *workspace.Arena, dst, src []complex128, h
 	}
 	p.checkBatch(len(dst), howMany, dstStride, "dst")
 	p.checkBatch(len(src), howMany, srcStride, "src")
-	if !p.smooth {
+	if p.blu != nil {
 		p.blu.transformBatch(ws, dst, src, howMany, dstStride, srcStride)
 		return
 	}
@@ -380,30 +466,16 @@ func (p *Plan) InverseBatchStrided(ws *workspace.Arena, dst, src []complex128, h
 }
 
 // Ops estimates the number of scalar floating-point operations a single
-// Forward transform performs — the sum over the plan's stages of their
-// butterfly counts times the per-butterfly kernel cost. The cycle-cost
-// model (internal/cost) documents why its workload model deliberately
-// smooths over the Bluestein cliff this estimate exposes.
-func (p *Plan) Ops() float64 {
-	if p.n == 1 {
-		return 1
-	}
-	if p.smooth {
-		ops := 0.0
-		for _, st := range p.stages {
-			ops += float64(p.n/st.r) * butterflyOps(st.r)
-		}
-		return ops
-	}
-	// Bluestein: chirp multiply, one forward batch + one inverse of size m
-	// on the inner plan (3 transforms total), pointwise multiply, final
-	// chirp multiply.
-	return 3*p.blu.inner.Ops() + 6*8*float64(p.n) + 6*float64(p.blu.m)
-}
+// Forward transform performs: on the direct path the sum over the plan's
+// stages of their butterfly counts times the per-butterfly kernel cost, on
+// the Bluestein path the two inner transforms plus the scale, chirp and
+// pointwise multiplies. It is the figure New compared to pick the path.
+// The cycle-cost model (internal/cost) documents why its workload model is
+// smoother than this estimate.
+func (p *Plan) Ops() float64 { return p.ops }
 
 // butterflyOps is the approximate scalar-flop cost of one radix-r
-// butterfly in the specialised kernels (complex add = 2, complex mul = 6,
-// real-by-complex scale = 2).
+// butterfly (complex add = 2, complex mul = 6, real-by-complex scale = 2).
 func butterflyOps(r int) float64 {
 	switch r {
 	case 2:
@@ -415,7 +487,11 @@ func butterflyOps(r int) float64 {
 	case 5:
 		return 72 // 12 cadd + 8 scale + 4 twiddle cmul
 	default:
-		return 8 * float64(r*r) // generic r-point sub-DFT + twiddles
+		// Odd-prime kernel, h = r/2: the fold and the output pairs are 4h
+		// cadd, the DC sum h cadd and r-1 twiddle cmul; each of the h*h
+		// (row, column) terms is two scales and two cadd.
+		h := float64(r / 2)
+		return 8*h*h + 22*h
 	}
 }
 
@@ -449,7 +525,7 @@ func runStage(st *stage, y, x []complex128) {
 	case 5:
 		stage5(st, y, x)
 	default:
-		stageGeneric(st, y, x)
+		stageOdd(st, y, x)
 	}
 }
 
@@ -615,37 +691,66 @@ func stage5(st *stage, y, x []complex128) {
 	}
 }
 
-// stageGeneric handles any remaining radix (only 7 for LTE lengths) with
-// the precomputed r*r root table — still table-driven, still modulo-free
-// at transform time.
-func stageGeneric(st *stage, y, x []complex128) {
+// stageOdd is the pass for any odd radix r (the primes from 7 up). With
+// h = r/2 and the input pairs folded once, u_c = a_c + a_{r-c} and
+// v_c = a_c - a_{r-c}, the r-point sub-DFT needs only real coefficients:
+//
+//	X_0               = a_0 + sum_c u_c
+//	X_j, X_{r-j}      = A_j -/+ i*B_j
+//	A_j = a_0 + sum_c cos(2*pi*j*c/r) u_c,  B_j = sum_c sin(2*pi*j*c/r) v_c
+//
+// for j, c in [1, h] — a quarter of the real multiplies of the r*r complex
+// matrix form. The last pass (m == 1) skips its all-ones twiddles.
+func stageOdd(st *stage, y, x []complex128) {
 	r, m, s := st.r, st.m, st.s
-	tw := st.tw
-	root := st.root
-	var a [maxRadix]complex128
+	h := r / 2
+	var fold [4 * (maxOddRadix / 2)]float64
+	ur, ui := fold[:h], fold[h:2*h]
+	vr, vi := fold[2*h:3*h], fold[3*h:4*h]
+	sm := s * m
 	for p := 0; p < m; p++ {
+		tw := st.tw[(r-1)*p : (r-1)*(p+1)]
 		for q := 0; q < s; q++ {
-			for c := 0; c < r; c++ {
-				a[c] = x[s*(p+c*m)+q]
+			in := s*p + q
+			a0 := x[in]
+			a0r, a0i := real(a0), imag(a0)
+			dr, di := a0r, a0i
+			for c := 0; c < h; c++ {
+				a, b := x[in+sm*(c+1)], x[in+sm*(r-1-c)]
+				pr, pi := real(a)+real(b), imag(a)+imag(b)
+				ur[c], ui[c] = pr, pi
+				vr[c], vi[c] = real(a)-real(b), imag(a)-imag(b)
+				dr += pr
+				di += pi
 			}
-			sum := a[0]
-			for c := 1; c < r; c++ {
-				sum += a[c]
-			}
-			y[s*r*p+q] = sum
-			for j := 1; j < r; j++ {
-				row := root[j*r : j*r+r]
-				sum = a[0]
-				for c := 1; c < r; c++ {
-					sum += a[c] * row[c]
+			out := s*r*p + q
+			y[out] = complex(dr, di)
+			for j := 0; j < h; j++ {
+				cj := st.cos[j*h : j*h+h]
+				sj := st.sin[j*h : j*h+h]
+				ar, ai := a0r, a0i
+				var br, bi float64
+				for c, cv := range cj {
+					sv := sj[c]
+					ar += cv * ur[c]
+					ai += cv * ui[c]
+					br += sv * vr[c]
+					bi += sv * vi[c]
 				}
-				y[s*(r*p+j)+q] = sum * tw[(r-1)*p+j-1]
+				lo := complex(ar+bi, ai-br) // A - i*B
+				hi := complex(ar-bi, ai+br) // A + i*B
+				if m > 1 {
+					lo *= tw[j]
+					hi *= tw[r-2-j]
+				}
+				y[out+s*(j+1)] = lo
+				y[out+s*(r-1-j)] = hi
 			}
 		}
 	}
 }
 
-// isSmooth reports whether every prime factor of n is <= maxRadix.
+// isSmooth reports whether every prime factor of n is <= 7.
 func isSmooth(n int) bool {
 	for _, f := range []int{2, 3, 5, 7} {
 		for n%f == 0 {
@@ -658,22 +763,18 @@ func isSmooth(n int) bool {
 func cmplxConj(v complex128) complex128 { return complex(real(v), -imag(v)) }
 
 // bluestein implements the chirp-z transform: an arbitrary-length DFT
-// expressed as a cyclic convolution, evaluated with power-of-two FFTs on
-// the iterative engine.
+// expressed as a cyclic convolution, evaluated with 7-smooth FFTs on the
+// iterative engine.
 type bluestein struct {
 	n     int
-	m     int          // power-of-two convolution length, m >= 2n-1
-	inner *Plan        // power-of-two plan of length m
+	m     int          // 7-smooth convolution length, m >= 2n-1 (bluesteinPlan)
+	inner *Plan        // direct plan of length m
 	a     []complex128 // chirp: exp(-pi*i*k^2/n)
 	bfft  []complex128 // FFT of the chirp-conjugate kernel, length m
 	pool  sync.Pool    // *[]complex128 of length m
 }
 
-func newBluestein(n int) *bluestein {
-	m := 1 << bits.Len(uint(2*n-2))
-	if m < 2*n-1 {
-		m <<= 1
-	}
+func newBluestein(n, m int) *bluestein {
 	b := &bluestein{n: n, m: m, inner: New(m)}
 	b.a = make([]complex128, n)
 	kernel := make([]complex128, m)

@@ -3,13 +3,13 @@
 // contiguous re/im float32 planes (the internal/phy/lane layout the
 // receiver's float32 hot path runs on).
 //
-// A PlanF32 shares the complex128 engine's stage planning: NewF32 runs
-// the same buildStages decomposition (radix 4 first, then 2, 3, 5, 7)
-// and converts each stage's twiddle table to split-plane float32 once at
-// construction, so both element widths execute the identical butterfly
-// schedule and differ only in arithmetic width and memory layout.
-// Non-smooth lengths fall back to a float32 Bluestein chirp-z transform
-// built on a power-of-two PlanF32.
+// A PlanF32 shares the complex128 engine's planning: NewF32 takes the
+// same choosePath decision and buildStages layout (radix 4 first, then 2,
+// 3, 5 and the odd primes ascending) and converts each stage's tables to
+// split-plane float32 once at construction, so both element widths execute
+// the identical butterfly schedule and differ only in arithmetic width and
+// memory layout. Where the operation count favours it the plan is a
+// float32 Bluestein chirp-z transform built on a 7-smooth PlanF32.
 //
 // Precision: a length-n float32 transform carries a relative error of
 // roughly eps32 * sqrt(log2 n) (~1e-6 for LTE lengths); the accuracy
@@ -27,12 +27,12 @@ import (
 )
 
 // stageF32 is one Stockham pass over split planes — the same (r, m, s)
-// geometry as stage, with the twiddle and root tables narrowed to
-// float32 planes.
+// geometry as stage, with the twiddle and cos/sin tables narrowed to
+// float32.
 type stageF32 struct {
-	r, m, s        int
-	twRe, twIm     []float32 // (r-1)*m twiddles, layout as stage.tw
-	rootRe, rootIm []float32 // generic radix only: r*r sub-DFT table
+	r, m, s    int
+	twRe, twIm []float32 // (r-1)*m twiddles, layout as stage.tw
+	cos, sin   []float32 // odd-prime kernel only, layout as stage.cos/sin
 }
 
 // PlanF32 is the float32 split-plane counterpart of Plan. Create one
@@ -41,8 +41,8 @@ type stageF32 struct {
 type PlanF32 struct {
 	n       int
 	stages  []stageF32
-	smooth  bool
 	blu     *bluesteinF32
+	ops     float64
 	scratch sync.Pool // *[]float32 of length 2n: re plane then im plane
 }
 
@@ -52,15 +52,16 @@ func NewF32(n int) *PlanF32 {
 	if n <= 0 {
 		panic("fft: invalid transform length")
 	}
-	p := &PlanF32{n: n, smooth: isSmooth(n)}
-	if p.smooth {
+	radices, m, ops := choosePath(n)
+	p := &PlanF32{n: n, ops: ops}
+	if m == 0 {
 		// Share the complex128 engine's stage planning: identical radix
-		// schedule, twiddles narrowed once here.
-		for _, st := range buildStages(n) {
+		// schedule, tables narrowed once here.
+		for _, st := range buildStages(n, radices) {
 			p.stages = append(p.stages, narrowStage(st))
 		}
 	} else {
-		p.blu = newBluesteinF32(n)
+		p.blu = newBluesteinF32(n, m)
 	}
 	p.scratch.New = func() any {
 		s := make([]float32, 2*n)
@@ -73,10 +74,17 @@ func NewF32(n int) *PlanF32 {
 func narrowStage(st stage) stageF32 {
 	f := stageF32{r: st.r, m: st.m, s: st.s}
 	f.twRe, f.twIm = splitNarrow(st.tw)
-	if st.root != nil {
-		f.rootRe, f.rootIm = splitNarrow(st.root)
-	}
+	f.cos, f.sin = narrow(st.cos), narrow(st.sin)
 	return f
+}
+
+// narrow converts a float64 table to float32.
+func narrow(src []float64) []float32 {
+	dst := make([]float32, len(src))
+	for i, v := range src {
+		dst[i] = float32(v)
+	}
+	return dst
 }
 
 // splitNarrow converts a complex128 table to split float32 planes.
@@ -93,22 +101,13 @@ func splitNarrow(src []complex128) (re, im []float32) {
 // Len returns the transform length the plan was built for.
 func (p *PlanF32) Len() int { return p.n }
 
+// Bluestein reports whether the plan runs the chirp-z algorithm — the same
+// answer as Plan.Bluestein for the length, since both take choosePath's.
+func (p *PlanF32) Bluestein() bool { return p.blu != nil }
+
 // Ops estimates the scalar flop count of one forward transform — the
-// same butterfly accounting as Plan.Ops, since both widths share the
-// stage schedule.
-func (p *PlanF32) Ops() float64 {
-	if p.n == 1 {
-		return 1
-	}
-	if p.smooth {
-		ops := 0.0
-		for _, st := range p.stages {
-			ops += float64(p.n/st.r) * butterflyOps(st.r)
-		}
-		return ops
-	}
-	return 3*p.blu.inner.Ops() + 6*8*float64(p.n) + 6*float64(p.blu.m)
-}
+// same figure as Plan.Ops, since both widths share the path and schedule.
+func (p *PlanF32) Ops() float64 { return p.ops }
 
 // Forward computes the forward DFT of the split-plane vector (srcRe,
 // srcIm) into (dstRe, dstIm). All planes must have length N; dst may
@@ -122,7 +121,7 @@ func (p *PlanF32) Forward(dstRe, dstIm, srcRe, srcIm []float32) {
 // allocation in steady state). A nil ws falls back to the plan's pool.
 func (p *PlanF32) ForwardIn(ws *workspace.Arena, dstRe, dstIm, srcRe, srcIm []float32) {
 	p.checkLenF32(dstRe, dstIm, srcRe, srcIm)
-	if !p.smooth {
+	if p.blu != nil {
 		p.blu.transform(ws, dstRe, dstIm, srcRe, srcIm)
 		return
 	}
@@ -253,7 +252,7 @@ func (p *PlanF32) ForwardBatchStrided(ws *workspace.Arena, dstRe, dstIm, srcRe, 
 	}
 	p.checkBatchF32(len(dstRe), len(dstIm), howMany, dstStride, "dst")
 	p.checkBatchF32(len(srcRe), len(srcIm), howMany, srcStride, "src")
-	if !p.smooth {
+	if p.blu != nil {
 		p.blu.transformBatch(ws, dstRe, dstIm, srcRe, srcIm, howMany, dstStride, srcStride)
 		return
 	}
@@ -331,7 +330,7 @@ func runStageF32(st *stageF32, yre, yim, xre, xim []float32) {
 	case 5:
 		stage5F32(st, yre, yim, xre, xim)
 	default:
-		stageGenericF32(st, yre, yim, xre, xim)
+		stageOddF32(st, yre, yim, xre, xim)
 	}
 }
 
@@ -561,42 +560,62 @@ func stage5F32(st *stageF32, yre, yim, xre, xim []float32) {
 	}
 }
 
-// stageGenericF32 handles any remaining radix (only 7 for LTE lengths)
-// with the precomputed r*r root table on split planes.
-func stageGenericF32(st *stageF32, yre, yim, xre, xim []float32) {
+// stageOddF32 is the odd-prime pass on split planes: stageOdd's folded
+// real-coefficient form, same tables narrowed to float32.
+func stageOddF32(st *stageF32, yre, yim, xre, xim []float32) {
 	r, m, s := st.r, st.m, st.s
-	twRe, twIm := st.twRe, st.twIm
-	rootRe, rootIm := st.rootRe, st.rootIm
-	var aR, aI [maxRadix]float32
+	h := r / 2
+	var fold [4 * (maxOddRadix / 2)]float32
+	ur, ui := fold[:h], fold[h:2*h]
+	vr, vi := fold[2*h:3*h], fold[3*h:4*h]
+	sm := s * m
 	for p := 0; p < m; p++ {
+		twRe := st.twRe[(r-1)*p : (r-1)*(p+1)]
+		twIm := st.twIm[(r-1)*p : (r-1)*(p+1)]
 		for q := 0; q < s; q++ {
-			for c := 0; c < r; c++ {
-				aR[c] = xre[s*(p+c*m)+q]
-				aI[c] = xim[s*(p+c*m)+q]
+			in := s*p + q
+			a0r, a0i := xre[in], xim[in]
+			dr, di := a0r, a0i
+			for c := 0; c < h; c++ {
+				ia, ib := in+sm*(c+1), in+sm*(r-1-c)
+				pr, pi := xre[ia]+xre[ib], xim[ia]+xim[ib]
+				ur[c], ui[c] = pr, pi
+				vr[c], vi[c] = xre[ia]-xre[ib], xim[ia]-xim[ib]
+				dr += pr
+				di += pi
 			}
-			sr, si := aR[0], aI[0]
-			for c := 1; c < r; c++ {
-				sr += aR[c]
-				si += aI[c]
-			}
-			yre[s*r*p+q], yim[s*r*p+q] = sr, si
-			for j := 1; j < r; j++ {
-				sr, si = aR[0], aI[0]
-				for c := 1; c < r; c++ {
-					rr, ri := rootRe[j*r+c], rootIm[j*r+c]
-					sr += aR[c]*rr - aI[c]*ri
-					si += aR[c]*ri + aI[c]*rr
+			out := s*r*p + q
+			yre[out], yim[out] = dr, di
+			for j := 0; j < h; j++ {
+				cj := st.cos[j*h : j*h+h]
+				sj := st.sin[j*h : j*h+h]
+				ar, ai := a0r, a0i
+				var br, bi float32
+				for c, cv := range cj {
+					sv := sj[c]
+					ar += cv * ur[c]
+					ai += cv * ui[c]
+					br += sv * vr[c]
+					bi += sv * vi[c]
 				}
-				wr, wi := twRe[(r-1)*p+j-1], twIm[(r-1)*p+j-1]
-				yre[s*(r*p+j)+q] = sr*wr - si*wi
-				yim[s*(r*p+j)+q] = sr*wi + si*wr
+				lr, li := ar+bi, ai-br // A - i*B
+				hr, hi := ar-bi, ai+br // A + i*B
+				if m > 1 {
+					wr, wi := twRe[j], twIm[j]
+					lr, li = lr*wr-li*wi, lr*wi+li*wr
+					wr, wi = twRe[r-2-j], twIm[r-2-j]
+					hr, hi = hr*wr-hi*wi, hr*wi+hi*wr
+				}
+				lo, up := out+s*(j+1), out+s*(r-1-j)
+				yre[lo], yim[lo] = lr, li
+				yre[up], yim[up] = hr, hi
 			}
 		}
 	}
 }
 
-// bluesteinF32 is the float32 split-plane chirp-z transform for
-// non-smooth lengths, built on a power-of-two PlanF32.
+// bluesteinF32 is the float32 split-plane chirp-z transform, built on a
+// 7-smooth PlanF32 of the length bluesteinPlan chose.
 type bluesteinF32 struct {
 	n        int
 	m        int
@@ -606,11 +625,7 @@ type bluesteinF32 struct {
 	pool     sync.Pool // *[]float32 of length 2m (one buffer's planes)
 }
 
-func newBluesteinF32(n int) *bluesteinF32 {
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
+func newBluesteinF32(n, m int) *bluesteinF32 {
 	b := &bluesteinF32{n: n, m: m, inner: NewF32(m)}
 	b.aRe = make([]float32, n)
 	b.aIm = make([]float32, n)

@@ -11,7 +11,8 @@ import (
 
 // f32TestLengths covers every structural case of the float32 engine:
 // trivial, single-stage, pure radix-4 chains, odd/even stage counts,
-// mixed radices including 7, and Bluestein lengths (prime factor > 7) —
+// mixed radices including 7, prime-radix lengths alone and as a last pass
+// (11, 13, 22, 121, 132, 156, 204, 444), one that takes Bluestein (1201) —
 // plus the LTE allocation sizes 12*nPRB the receiver actually uses.
 var f32TestLengths = []int{
 	1, 2, 3, 4, 5, 7, 8, 12, 16, 24, 36, 60, 64, 72, 84, 96,
@@ -114,12 +115,12 @@ func TestInverseF32MatchesComplex128(t *testing.T) {
 }
 
 // TestBatchF32BitExact proves the batch entry points are bit-identical
-// to per-vector ForwardIn/InverseIn calls, for both smooth and
-// Bluestein lengths, and exercises the strided scatter form.
+// to per-vector ForwardIn/InverseIn calls, for smooth, prime-radix (132)
+// and Bluestein (199) lengths, and exercises the strided scatter form.
 func TestBatchF32BitExact(t *testing.T) {
 	r := rng.New(14)
 	ws := workspace.New()
-	for _, n := range []int{12, 60, 132, 300} {
+	for _, n := range []int{12, 60, 132, 199, 300} {
 		const howMany = 5
 		stride := n + 3
 		total := (howMany-1)*stride + n

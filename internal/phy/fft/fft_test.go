@@ -42,11 +42,12 @@ func maxAbsDiff(a, b []complex128) float64 {
 }
 
 // testSizes covers every structural case: trivial, pure radix-2, radix-3/5/7
-// mixes (typical LTE sizes are 12*k), primes and semiprimes (Bluestein), and
-// the largest size the benchmark uses (200 PRB * 12 = 2400).
+// mixes (typical LTE sizes are 12*k), primes alone and as the last pass
+// (17, 31, 97, 132, 264; 77 has two odd-prime passes), Bluestein (199,
+// 1201), and the largest size the benchmark uses (200 PRB * 12 = 2400).
 var testSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 17, 20, 24, 25, 27,
-	31, 36, 48, 49, 60, 64, 97, 100, 120, 128, 144, 199, 240, 256, 300, 360,
-	480, 600, 625, 720, 960, 1024, 1200, 2400}
+	31, 36, 48, 49, 60, 64, 77, 97, 100, 120, 128, 132, 144, 199, 240, 256, 264, 300, 360,
+	480, 600, 625, 720, 960, 1024, 1200, 1201, 2400}
 
 func TestForwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -233,9 +234,10 @@ func TestGetCachesPlans(t *testing.T) {
 }
 
 func TestOpsMonotonicInSize(t *testing.T) {
-	// Ops need not be strictly monotone across smooth/Bluestein boundaries,
-	// but within the smooth family it must grow with n, and Bluestein must
-	// always cost more than the smooth transform of similar size.
+	// Ops need not be strictly monotone across smooth/prime-radix/Bluestein
+	// boundaries, but within the smooth family it must grow with n, and a
+	// prime-radix or Bluestein length must cost more than a smooth one of
+	// similar size.
 	prev := 0.0
 	for _, n := range []int{12, 24, 48, 96, 192, 384, 768, 1536} {
 		ops := New(n).Ops()
@@ -244,8 +246,10 @@ func TestOpsMonotonicInSize(t *testing.T) {
 		}
 		prev = ops
 	}
-	if bl, sm := New(97).Ops(), New(96).Ops(); bl <= sm {
-		t.Errorf("Bluestein Ops(97)=%g should exceed smooth Ops(96)=%g", bl, sm)
+	for _, pair := range [][2]int{{97, 96}, {199, 192}, {264, 240}} {
+		if hard, sm := New(pair[0]).Ops(), New(pair[1]).Ops(); hard <= sm {
+			t.Errorf("Ops(%d)=%g should exceed smooth Ops(%d)=%g", pair[0], hard, pair[1], sm)
+		}
 	}
 }
 
@@ -305,28 +309,24 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
+// BenchmarkForward times single transforms at LTE allocation widths:
+// smooth (240, 288, 600, 1200), prime-radix from 11 to 97 (132 … 1164) and
+// one that still takes Bluestein (2388 = 12*199). The sub-benchmark name
+// carries the path the plan took, and ns/point is reported next to ns/op.
 func BenchmarkForward(b *testing.B) {
-	for _, n := range []int{24, 144, 600, 1200, 2400} {
+	for _, n := range []int{132, 240, 264, 276, 288, 564, 600, 1164, 1200, 2388} {
 		p := New(n)
 		src := randVec(rand.New(rand.NewSource(9)), n)
 		dst := make([]complex128, n)
-		b.Run(sizeName(n), func(b *testing.B) {
+		name := sizeName(n)
+		if p.Bluestein() {
+			name += "-bluestein"
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.Forward(dst, src)
 			}
-		})
-	}
-}
-
-func BenchmarkForwardBluestein(b *testing.B) {
-	for _, n := range []int{97, 199, 1201} {
-		p := New(n)
-		src := randVec(rand.New(rand.NewSource(10)), n)
-		dst := make([]complex128, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.Forward(dst, src)
-			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/point")
 		})
 	}
 }

@@ -24,6 +24,10 @@
 // Memory comes from the caller: planes are ordinary slices, typically
 // carved from a per-worker workspace.Arena via NewVecIn. All kernels are
 // allocation-free and safe for concurrent use on disjoint planes.
+//
+// One kernel is generic over the element width: HermSolve, the Hermitian
+// positive-definite solve behind every combiner, also runs at float64 —
+// as the complex128 receiver's weight solver and as this path's oracle.
 package lane
 
 import (
@@ -250,29 +254,66 @@ const maxHermDim = 8
 // B, X are n x m (row-major split planes of n*m). X may alias B. Only
 // A's lower triangle (including the diagonal) is read.
 //
-// The solve is a float32 Cholesky factorisation A = L L^H followed by
-// forward and back substitution — the per-subcarrier MMSE/IRC solve of
-// the receiver, where A is the diagonally loaded Gram (or covariance)
-// matrix, structurally Hermitian positive definite. It returns false
-// when the factorisation hits a non-positive pivot (a numerically
-// singular channel); the caller zeroes its output, matching the
-// complex128 path's singular-channel handling. n must be <= 8.
-func HermSolve(n, m int, aRe, aIm, bRe, bIm, xRe, xIm []float32) bool {
-	// L planes on the stack: row-major n x n lower triangle.
-	var lRe, lIm [maxHermDim * maxHermDim]float32
+// This is the receiver's one per-subcarrier weight solver: A is the
+// diagonally loaded Gram (or covariance) matrix, structurally Hermitian
+// positive definite, so it is a Cholesky factorisation A = L L^H followed
+// by forward and back substitution, unrolled to closed forms for orders 1
+// and 2. The float32 instantiation is the lane hot path; the float64 one
+// is the complex128 receiver's solver and the float32 path's oracle — the
+// same code at the other width. It returns false when a pivot is not
+// positive (a numerically singular or NaN channel) and the caller zeroes
+// its output. n must be <= 8.
+func HermSolve[T float32 | float64](n, m int, aRe, aIm, bRe, bIm, xRe, xIm []T) bool {
+	switch n {
+	case 1:
+		d := aRe[0]
+		if !(d > 0) { // also rejects NaN
+			return false
+		}
+		inv := 1 / d
+		for c := 0; c < m; c++ {
+			xRe[c], xIm[c] = bRe[c]*inv, bIm[c]*inv
+		}
+		return true
+	case 2:
+		// A = [a conj(b); b c] = L D L^H with L = [1 0; l 1], l = b/a and
+		// D = diag(a, c - |b|^2/a): the Cholesky below unrolled, without
+		// the square roots.
+		d0 := aRe[0]
+		if !(d0 > 0) {
+			return false
+		}
+		i0 := 1 / d0
+		lr, li := aRe[2]*i0, aIm[2]*i0
+		d1 := aRe[3] - (lr*aRe[2] + li*aIm[2])
+		if !(d1 > 0) {
+			return false
+		}
+		i1 := 1 / d1
+		for k := 0; k < m; k++ {
+			y0r, y0i := bRe[k], bIm[k]
+			x1r := (bRe[m+k] - (lr*y0r - li*y0i)) * i1
+			x1i := (bIm[m+k] - (lr*y0i + li*y0r)) * i1
+			xRe[k] = y0r*i0 - (lr*x1r + li*x1i)
+			xIm[k] = y0i*i0 - (lr*x1i - li*x1r)
+			xRe[m+k], xIm[m+k] = x1r, x1i
+		}
+		return true
+	}
+	// L planes on the stack: row-major n x n lower triangle, with 1/L[j][j]
+	// — all the substitutions need of the diagonal — in place of L[j][j].
+	var lRe, lIm [maxHermDim * maxHermDim]T
 	for j := 0; j < n; j++ {
 		// Diagonal pivot: real by Hermitian symmetry.
 		d := aRe[j*n+j]
 		for k := 0; k < j; k++ {
 			d -= lRe[j*n+k]*lRe[j*n+k] + lIm[j*n+k]*lIm[j*n+k]
 		}
-		if !(d > 0) { // also rejects NaN
+		if !(d > 0) {
 			return false
 		}
-		dj := float32(math.Sqrt(float64(d)))
-		lRe[j*n+j] = dj
-		lIm[j*n+j] = 0
-		inv := 1 / dj
+		inv := 1 / T(math.Sqrt(float64(d)))
+		lRe[j*n+j] = inv
 		for i := j + 1; i < n; i++ {
 			sr, si := aRe[i*n+j], aIm[i*n+j]
 			for k := 0; k < j; k++ {
@@ -292,7 +333,7 @@ func HermSolve(n, m int, aRe, aIm, bRe, bIm, xRe, xIm []float32) bool {
 	}
 	// Forward solve L Y = B (Y overwrites X).
 	for i := 0; i < n; i++ {
-		inv := 1 / lRe[i*n+i]
+		inv := lRe[i*n+i]
 		for c := 0; c < m; c++ {
 			sr, si := xRe[i*m+c], xIm[i*m+c]
 			for k := 0; k < i; k++ {
@@ -307,7 +348,7 @@ func HermSolve(n, m int, aRe, aIm, bRe, bIm, xRe, xIm []float32) bool {
 	}
 	// Back solve L^H X = Y: row i uses conj(L[k][i]) for k > i.
 	for i := n - 1; i >= 0; i-- {
-		inv := 1 / lRe[i*n+i]
+		inv := lRe[i*n+i]
 		for c := 0; c < m; c++ {
 			sr, si := xRe[i*m+c], xIm[i*m+c]
 			for k := i + 1; k < n; k++ {

@@ -172,28 +172,7 @@ func TestHermSolveMatchesComplexSolve(t *testing.T) {
 	r := rng.New(3)
 	for _, shape := range []struct{ n, m int }{{1, 1}, {2, 4}, {3, 3}, {4, 4}, {4, 8}, {8, 4}} {
 		n, m := shape.n, shape.m
-		// A = H^H H + nv I for a random tall H: Hermitian positive definite,
-		// the exact structure of the MMSE Gram matrix.
-		rows := n + 2
-		h := make([]complex128, rows*n)
-		for i := range h {
-			h[i] = complex(r.NormFloat64(), r.NormFloat64())
-		}
-		a := make([]complex128, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var s complex128
-				for k := 0; k < rows; k++ {
-					s += cmplx.Conj(h[k*n+i]) * h[k*n+j]
-				}
-				a[i*n+j] = s
-			}
-			a[i*n+i] += 0.1
-		}
-		b := make([]complex128, n*m)
-		for i := range b {
-			b[i] = complex(r.NormFloat64(), r.NormFloat64())
-		}
+		a, b := hpdSystem(r, n, m, 0.1, false)
 		want := refHermSolve(n, m, a, b)
 
 		aRe, aIm := make([]float32, n*n), make([]float32, n*n)
@@ -218,12 +197,123 @@ func TestHermSolveMatchesComplexSolve(t *testing.T) {
 	}
 }
 
+// hpdSystem returns A = H^H H + load*I for a random (n+2) x n H — the
+// exact structure of the MMSE Gram matrix — and a random n x m right-hand
+// side. With rank1 every column of H is the same, so only the loading
+// keeps A positive definite.
+func hpdSystem(r *rng.RNG, n, m int, load float64, rank1 bool) (a, b []complex128) {
+	rows := n + 2
+	h := make([]complex128, rows*n)
+	for i := range h {
+		h[i] = complex(r.NormFloat64(), r.NormFloat64())
+		if rank1 {
+			h[i] = h[i/n*n]
+		}
+	}
+	a = make([]complex128, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s complex128
+			for k := 0; k < rows; k++ {
+				s += cmplx.Conj(h[k*n+i]) * h[k*n+j]
+			}
+			a[i*n+j] = s
+		}
+		a[i*n+i] += complex(load, 0)
+	}
+	b = make([]complex128, n*m)
+	for i := range b {
+		b[i] = complex(r.NormFloat64(), r.NormFloat64())
+	}
+	return a, b
+}
+
+func splitPlanes(v []complex128) (re, im []float64) {
+	re, im = make([]float64, len(v)), make([]float64, len(v))
+	for i, c := range v {
+		re[i], im[i] = real(c), imag(c)
+	}
+	return re, im
+}
+
+// TestHermSolveFloat64MatchesGaussJordan pins the float64 instantiation —
+// the complex128 receiver's solver, and the oracle the float32 one is
+// measured against — to the pivoted Gauss-Jordan solve at every order:
+// well conditioned to 1e-12, and on a rank-1 Gram held up by a loading of
+// 1e-12 (condition ~1e13) through the residual A X - B, which a backward
+// stable solve keeps small where the solution itself has few good digits.
+func TestHermSolveFloat64MatchesGaussJordan(t *testing.T) {
+	r := rng.New(5)
+	for n := 1; n <= maxHermDim; n++ {
+		for _, m := range []int{1, 4, 8} {
+			a, b := hpdSystem(r, n, m, 0.1, false)
+			want := refHermSolve(n, m, a, b)
+			aRe, aIm := splitPlanes(a)
+			bRe, bIm := splitPlanes(b)
+			xRe, xIm := make([]float64, n*m), make([]float64, n*m)
+			if !HermSolve(n, m, aRe, aIm, bRe, bIm, xRe, xIm) {
+				t.Fatalf("n=%d m=%d: reported singular on an HPD matrix", n, m)
+			}
+			for i, w := range want {
+				if d := cmplx.Abs(complex(xRe[i], xIm[i]) - w); d > 1e-12*(1+cmplx.Abs(w)) {
+					t.Fatalf("n=%d m=%d: X[%d] differs from Gauss-Jordan by %g", n, m, i, d)
+				}
+			}
+
+			a, b = hpdSystem(r, n, m, 1e-12, true)
+			aRe, aIm = splitPlanes(a)
+			bRe, bIm = splitPlanes(b)
+			if !HermSolve(n, m, aRe, aIm, bRe, bIm, xRe, xIm) {
+				if n == 1 {
+					t.Fatalf("m=%d: reported singular at order 1", m)
+				}
+				continue // the loading can round away entirely; rejecting is allowed
+			}
+			for i := 0; i < n; i++ {
+				for c := 0; c < m; c++ {
+					res, scale := -b[i*m+c], cmplx.Abs(b[i*m+c])
+					for k := 0; k < n; k++ {
+						term := a[i*n+k] * complex(xRe[k*m+c], xIm[k*m+c])
+						res += term
+						scale += cmplx.Abs(term)
+					}
+					if cmplx.Abs(res) > 1e-12*scale {
+						t.Fatalf("n=%d m=%d ill-conditioned: residual %g at (%d,%d), scale %g", n, m, cmplx.Abs(res), i, c, scale)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHermSolveSingular: matrices that are not positive definite — the
+// all-zero one the receiver meets on all-zero input, a NaN or negative
+// pivot at any position — are reported at both widths and every order,
+// not NaN'd through and never a panic.
 func TestHermSolveSingular(t *testing.T) {
-	// The all-zero matrix is the singular-channel case the receiver hits
-	// with all-zero input data; the solver must report it, not NaN out.
-	var aRe, aIm, bRe, bIm, xRe, xIm [4]float32
-	if HermSolve(2, 2, aRe[:], aIm[:], bRe[:], bIm[:], xRe[:], xIm[:]) {
-		t.Error("HermSolve accepted an all-zero matrix")
+	for n := 1; n <= maxHermDim; n++ {
+		for _, bad := range []float64{0, -1, math.NaN()} {
+			for at := 0; at < n; at++ {
+				a := make([]float64, n*n)
+				for i := 0; i < n; i++ {
+					a[i*n+i] = 1
+				}
+				a[at*n+at] = bad
+				zero := make([]float64, n*n)
+				b, x := make([]float64, n), make([]float64, n)
+				if HermSolve(n, 1, a, zero, b, zero[:n], x, make([]float64, n)) {
+					t.Errorf("float64 n=%d: accepted pivot %g at %d", n, bad, at)
+				}
+				a32 := make([]float32, n*n)
+				for i, v := range a {
+					a32[i] = float32(v)
+				}
+				z32 := make([]float32, n*n)
+				if HermSolve(n, 1, a32, z32, make([]float32, n), z32[:n], make([]float32, n), make([]float32, n)) {
+					t.Errorf("float32 n=%d: accepted pivot %g at %d", n, bad, at)
+				}
+			}
+		}
 	}
 }
 

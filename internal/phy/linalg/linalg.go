@@ -1,22 +1,20 @@
-// Package linalg provides the small dense complex matrix operations the
-// MIMO combiner needs: Hermitian products, Gaussian-elimination inverses,
-// and the per-subcarrier MMSE weight solve
+// Package linalg provides the small dense complex matrix work the MIMO
+// combiner needs: the per-subcarrier MMSE weight solve
 //
 //	W = (H^H H + sigma^2 I)^{-1} H^H
 //
-// Matrices are at most 4x4 (up to four layers and four receive antennas in
-// LTE-Advanced uplink), so simple partial-pivot elimination is both
-// adequate and fast; everything is allocation-conscious because the weight
-// solve runs once per subcarrier.
+// and its interference-whitened IRC form. Matrices are at most 8x8 (up to
+// four layers and eight receive antennas), and the matrix being inverted
+// is Hermitian positive definite by construction, so one Cholesky-based
+// solver over split re/im planes (solve.go), generic over float32 and
+// float64, serves both receivers. This file holds the complex128 Matrix
+// view of it; everything is allocation-free because the weight solve runs
+// once per subcarrier.
 package linalg
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/cmplx"
-
-	"ltephy/internal/phy/workspace"
 )
 
 // Matrix is a dense row-major complex matrix.
@@ -27,21 +25,10 @@ type Matrix struct {
 
 // NewMatrix returns a zero matrix of the given shape.
 func NewMatrix(rows, cols int) Matrix {
-	return NewMatrixIn(nil, rows, cols)
-}
-
-// NewMatrixIn returns a zero matrix whose backing storage comes from ws
-// (heap-allocated when ws is nil). The matrix is only valid until the
-// arena mark it was carved under is released.
-//
-// lifetime with its own Mark/Release, per the doc contract above.
-//
-//ltephy:owns-scratch — carve constructor: the caller brackets the matrix's
-func NewMatrixIn(ws *workspace.Arena, rows, cols int) Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
-	return Matrix{Rows: rows, Cols: cols, Data: ws.Complex(rows * cols)}
+	return Matrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
 }
 
 // At returns the element at row r, column c.
@@ -50,201 +37,52 @@ func (m Matrix) At(r, c int) complex128 { return m.Data[r*m.Cols+c] }
 // Set assigns the element at row r, column c.
 func (m *Matrix) Set(r, c int, v complex128) { m.Data[r*m.Cols+c] = v }
 
-// ConjTransposeInto writes m^H into dst, which must be Cols x Rows.
-func (m Matrix) ConjTransposeInto(dst *Matrix) {
-	if dst.Rows != m.Cols || dst.Cols != m.Rows {
-		panic("linalg: ConjTransposeInto shape mismatch")
-	}
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			dst.Data[c*dst.Cols+r] = cmplx.Conj(m.Data[r*m.Cols+c])
-		}
-	}
-}
-
-// MulInto computes dst = a*b. dst must be a.Rows x b.Cols and must not
-// alias a or b.
-func MulInto(dst *Matrix, a, b Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: MulInto shapes %dx%d * %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	for r := 0; r < a.Rows; r++ {
-		for c := 0; c < b.Cols; c++ {
-			var sum complex128
-			for k := 0; k < a.Cols; k++ {
-				sum += a.Data[r*a.Cols+k] * b.Data[k*b.Cols+c]
-			}
-			dst.Data[r*dst.Cols+c] = sum
-		}
-	}
-}
-
-// GramInto computes dst = a^H * a (Cols x Cols Hermitian Gram matrix).
-func GramInto(dst *Matrix, a Matrix) {
-	if dst.Rows != a.Cols || dst.Cols != a.Cols {
-		panic("linalg: GramInto shape mismatch")
-	}
-	for i := 0; i < a.Cols; i++ {
-		for j := 0; j < a.Cols; j++ {
-			var sum complex128
-			for k := 0; k < a.Rows; k++ {
-				sum += cmplx.Conj(a.Data[k*a.Cols+i]) * a.Data[k*a.Cols+j]
-			}
-			dst.Data[i*dst.Cols+j] = sum
-		}
-	}
-}
-
-// AddDiag adds v to each diagonal element of the square matrix m.
-func AddDiag(m *Matrix, v complex128) {
-	if m.Rows != m.Cols {
-		panic("linalg: AddDiag on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] += v
-	}
-}
-
-// ErrSingular is returned by the inversion routines when elimination hits
-// a numerically zero (or NaN) pivot. It is a preallocated sentinel so the
-// per-subcarrier solvers can take the error path without heap allocation.
+// ErrSingular is returned by Solve when the regularised Gram matrix is not
+// numerically positive definite (a NaN channel estimate, or a singular one
+// with no loading). It is a preallocated sentinel so a per-subcarrier
+// caller can take the error path without heap allocation.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// InvertInto computes dst = m^{-1} for a square matrix using Gauss-Jordan
-// elimination with partial pivoting. m is left unchanged; dst must be the
-// same shape as m and must not alias it. It returns ErrSingular when the
-// matrix is numerically singular.
-func InvertInto(dst *Matrix, m Matrix) error {
-	return InvertIntoScratch(dst, m, nil)
-}
-
-// InvertIntoScratch is InvertInto with caller-supplied elimination scratch
-// of at least Rows*Cols elements (it is overwritten). A nil or short
-// scratch is replaced by a fresh allocation, making InvertInto the
-// convenience form. The per-subcarrier solvers pass arena-backed scratch
-// so the inner loop stays allocation-free.
-func InvertIntoScratch(dst *Matrix, m Matrix, scratch []complex128) error {
-	n := m.Rows
-	if m.Cols != n || dst.Rows != n || dst.Cols != n {
-		panic("linalg: InvertInto shape mismatch")
-	}
-	// Augmented elimination on a scratch copy.
-	a := scratch
-	if len(a) < n*n {
-		a = make([]complex128, n*n) //ltephy:alloc-ok — documented nil/short-scratch convenience fallback; hot callers pass arena scratch
-	} else {
-		a = a[:n*n]
-	}
-	copy(a, m.Data)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		dst.Data[i*n+i] = 1
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot: largest magnitude in this column at or below the
-		// diagonal.
-		pivot, pmag := col, cmplx.Abs(a[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if mag := cmplx.Abs(a[r*n+col]); mag > pmag {
-				pivot, pmag = r, mag
-			}
-		}
-		if pmag < 1e-300 || math.IsNaN(pmag) {
-			// Sentinel, not fmt.Errorf: a singular (all-zero or NaN) channel
-			// can fire this per subcarrier in steady state, and the hot
-			// solvers swallow the error after zeroing their output, so the
-			// error value must not allocate.
-			return ErrSingular
-		}
-		if pivot != col {
-			swapRows(a, n, pivot, col)
-			swapRows(dst.Data, n, pivot, col)
-		}
-		inv := 1 / a[col*n+col]
-		for c := 0; c < n; c++ {
-			a[col*n+c] *= inv
-			dst.Data[col*n+c] *= inv
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r*n+col]
-			if f == 0 {
-				continue
-			}
-			for c := 0; c < n; c++ {
-				a[r*n+c] -= f * a[col*n+c]
-				dst.Data[r*n+c] -= f * dst.Data[col*n+c]
-			}
-		}
-	}
-	return nil
-}
-
-func swapRows(a []complex128, n, r1, r2 int) {
-	for c := 0; c < n; c++ {
-		a[r1*n+c], a[r2*n+c] = a[r2*n+c], a[r1*n+c]
-	}
-}
-
-// MMSEWorkspace holds the scratch matrices for repeated MMSE solves of one
-// shape, so the per-subcarrier loop performs no allocation. Not safe for
-// concurrent use; each worker task owns its own workspace.
+// MMSEWorkspace holds the split-plane scratch for repeated MMSE solves of
+// one shape over Matrix values. Not safe for concurrent use; each worker
+// task owns its own workspace.
 type MMSEWorkspace struct {
 	ant, layers int
-	gram        Matrix       // layers x layers
-	inv         Matrix       // layers x layers
-	hh          Matrix       // layers x ant (H^H)
-	elim        []complex128 // layers x layers elimination scratch
+	hRe, hIm    []float64 // ant x layers
+	wRe, wIm    []float64 // layers x ant
 }
 
 // NewMMSEWorkspace returns a workspace for ant receive antennas and the
 // given layer count.
 func NewMMSEWorkspace(ant, layers int) *MMSEWorkspace {
-	ws := NewMMSEWorkspaceIn(nil, ant, layers)
-	return &ws
-}
-
-// NewMMSEWorkspaceIn returns a workspace whose scratch matrices live in the
-// arena (heap when nil). Returned by value so arena-path callers can keep
-// it on their stack; it is valid only until the enclosing arena mark is
-// released.
-//
-// the workspace's lifetime.
-//
-//ltephy:owns-scratch — carve constructor: the caller's Mark/Release bounds
-func NewMMSEWorkspaceIn(a *workspace.Arena, ant, layers int) MMSEWorkspace {
-	if ant < 1 || layers < 1 || layers > ant {
-		panic(fmt.Sprintf("linalg: invalid MMSE shape ant=%d layers=%d", ant, layers))
-	}
-	return MMSEWorkspace{
+	checkShape(ant, layers)
+	planes := make([]float64, 4*ant*layers)
+	al := ant * layers
+	return &MMSEWorkspace{
 		ant: ant, layers: layers,
-		gram: NewMatrixIn(a, layers, layers),
-		inv:  NewMatrixIn(a, layers, layers),
-		hh:   NewMatrixIn(a, layers, ant),
-		elim: a.Complex(layers * layers),
+		hRe: planes[:al], hIm: planes[al : 2*al],
+		wRe: planes[2*al : 3*al], wIm: planes[3*al:],
 	}
 }
 
 // Solve computes the MMSE combining matrix W = (H^H H + nv I)^{-1} H^H into
 // dst (layers x ant). h is the ant x layers channel matrix and nv the noise
-// variance. A singular regularised Gram matrix (possible only for nv <= 0)
-// is reported as an error.
+// variance. It is MMSESolve at float64 on the matrices' split planes; a
+// regularised Gram matrix that is not positive definite is reported as
+// ErrSingular.
 func (w *MMSEWorkspace) Solve(dst *Matrix, h Matrix, nv float64) error {
 	if h.Rows != w.ant || h.Cols != w.layers || dst.Rows != w.layers || dst.Cols != w.ant {
 		panic("linalg: MMSE Solve shape mismatch")
 	}
-	GramInto(&w.gram, h)
-	AddDiag(&w.gram, complex(nv, 0))
-	if err := InvertIntoScratch(&w.inv, w.gram, w.elim); err != nil {
-		return err
+	for i, v := range h.Data {
+		w.hRe[i], w.hIm[i] = real(v), imag(v)
 	}
-	h.ConjTransposeInto(&w.hh)
-	MulInto(dst, w.inv, w.hh)
+	if !MMSESolve(w.wRe, w.wIm, w.hRe, w.hIm, w.ant, w.layers, nv) {
+		return ErrSingular
+	}
+	for i := range dst.Data {
+		dst.Data[i] = complex(w.wRe[i], w.wIm[i])
+	}
 	return nil
 }
 

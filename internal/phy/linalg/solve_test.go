@@ -33,10 +33,10 @@ func checkWeightsF32(t *testing.T, name string, ant, layers int, gotRe, gotIm []
 	}
 }
 
-// TestMMSESolveF32MatchesComplex128 pins the float32 Cholesky MMSE solve
-// against the complex128 Gauss-Jordan solve across the receiver's shape
-// range.
-func TestMMSESolveF32MatchesComplex128(t *testing.T) {
+// TestMMSESolveF32MatchesFloat64 pins the float32 instantiation of the
+// MMSE solve against the float64 one (itself pinned to Gauss-Jordan by
+// TestMMSESolveMatchesGaussJordan) across the receiver's shape range.
+func TestMMSESolveF32MatchesFloat64(t *testing.T) {
 	r := rng.New(21)
 	for _, shape := range []struct{ ant, layers int }{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}, {8, 4}} {
 		ant, layers := shape.ant, shape.layers
@@ -45,12 +45,12 @@ func TestMMSESolveF32MatchesComplex128(t *testing.T) {
 
 		want := NewMatrix(layers, ant)
 		if err := NewMMSEWorkspace(ant, layers).Solve(&want, h, nv); err != nil {
-			t.Fatalf("ant=%d layers=%d: complex128 solve failed: %v", ant, layers, err)
+			t.Fatalf("ant=%d layers=%d: float64 solve failed: %v", ant, layers, err)
 		}
 		gotRe := make([]float32, layers*ant)
 		gotIm := make([]float32, layers*ant)
-		if !MMSESolveF32(gotRe, gotIm, hRe, hIm, ant, layers, float32(nv)) {
-			t.Fatalf("ant=%d layers=%d: MMSESolveF32 reported singular", ant, layers)
+		if !MMSESolve(gotRe, gotIm, hRe, hIm, ant, layers, float32(nv)) {
+			t.Fatalf("ant=%d layers=%d: MMSESolve reported singular", ant, layers)
 		}
 		checkWeightsF32(t, "MMSE", ant, layers, gotRe, gotIm, want, 5e-4)
 	}
@@ -63,41 +63,14 @@ func TestMMSESolveF32Singular(t *testing.T) {
 	hIm := make([]float32, 8)
 	gotRe := make([]float32, 8)
 	gotIm := make([]float32, 8)
-	if MMSESolveF32(gotRe, gotIm, hRe, hIm, 4, 2, 0) {
-		t.Error("MMSESolveF32 accepted an all-zero channel with zero loading")
+	if MMSESolve(gotRe, gotIm, hRe, hIm, 4, 2, 0) {
+		t.Error("MMSESolve accepted an all-zero channel with zero loading")
 	}
 }
 
-// refIRCSolve reproduces the complex128 IRC weight computation
-// W = (H^H R^{-1} H + I)^{-1} H^H R^{-1} using the package's own
-// complex128 primitives — the oracle irc.go builds per subcarrier.
-func refIRCSolve(t *testing.T, rcov, h Matrix, ant, layers int) Matrix {
-	t.Helper()
-	rinv := NewMatrix(ant, ant)
-	if err := InvertInto(&rinv, rcov); err != nil {
-		t.Fatalf("oracle R inversion failed: %v", err)
-	}
-	b := NewMatrix(ant, layers)
-	MulInto(&b, rinv, h)
-	hh := NewMatrix(layers, ant)
-	h.ConjTransposeInto(&hh)
-	g := NewMatrix(layers, layers)
-	MulInto(&g, hh, b)
-	AddDiag(&g, 1)
-	ginv := NewMatrix(layers, layers)
-	if err := InvertInto(&ginv, g); err != nil {
-		t.Fatalf("oracle Gram inversion failed: %v", err)
-	}
-	bh := NewMatrix(layers, ant)
-	b.ConjTransposeInto(&bh)
-	w := NewMatrix(layers, ant)
-	MulInto(&w, ginv, bh)
-	return w
-}
-
-// TestIRCSolveF32MatchesComplex128 pins the float32 IRC solve against
-// the complex128 oracle with a realistic loaded covariance.
-func TestIRCSolveF32MatchesComplex128(t *testing.T) {
+// TestIRCSolveMatchesGaussJordan pins both instantiations of the IRC solve
+// against the explicit-inverse oracle with a realistic loaded covariance.
+func TestIRCSolveMatchesGaussJordan(t *testing.T) {
 	r := rng.New(22)
 	for _, shape := range []struct{ ant, layers int }{{2, 1}, {4, 2}, {4, 4}, {8, 4}} {
 		ant, layers := shape.ant, shape.layers
@@ -125,25 +98,43 @@ func TestIRCSolveF32MatchesComplex128(t *testing.T) {
 		for i := range rcov.Data {
 			rcov.Data[i] *= scale
 		}
-		AddDiag(&rcov, 0.01)
+		addDiag(rcov, 0.01)
 		lane.Pack(rRe, rIm, rcov.Data)
 		// Re-widen so the oracle sees exactly the float32-rounded R.
 		lane.Unpack(rcov.Data, rRe, rIm)
 
-		want := refIRCSolve(t, rcov, h, ant, layers)
+		want := refIRC(t, rcov, h)
+		// The float64 instantiation against the explicit-inverse oracle.
+		r64Re, r64Im := make([]float64, ant*ant), make([]float64, ant*ant)
+		h64Re, h64Im := make([]float64, ant*layers), make([]float64, ant*layers)
+		w64Re, w64Im := make([]float64, ant*layers), make([]float64, ant*layers)
+		for i, v := range rcov.Data {
+			r64Re[i], r64Im[i] = real(v), imag(v)
+		}
+		for i, v := range h.Data {
+			h64Re[i], h64Im[i] = real(v), imag(v)
+		}
+		if !IRCSolve(w64Re, w64Im, r64Re, r64Im, h64Re, h64Im, ant, layers) {
+			t.Fatalf("ant=%d layers=%d: float64 IRCSolve reported singular", ant, layers)
+		}
+		for i, v := range want.Data {
+			if d := cmplx.Abs(complex(w64Re[i], w64Im[i]) - v); d > 1e-10 {
+				t.Fatalf("ant=%d layers=%d: float64 IRCSolve W[%d] differs from Gauss-Jordan by %g", ant, layers, i, d)
+			}
+		}
 		gotRe := make([]float32, layers*ant)
 		gotIm := make([]float32, layers*ant)
-		if !IRCSolveF32(gotRe, gotIm, rRe, rIm, hRe, hIm, ant, layers) {
-			t.Fatalf("ant=%d layers=%d: IRCSolveF32 reported singular", ant, layers)
+		if !IRCSolve(gotRe, gotIm, rRe, rIm, hRe, hIm, ant, layers) {
+			t.Fatalf("ant=%d layers=%d: IRCSolve reported singular", ant, layers)
 		}
 		checkWeightsF32(t, "IRC", ant, layers, gotRe, gotIm, want, 2e-3)
 	}
 }
 
-// TestIRCSolveF32DegenerateCovariance checks the identity-whitening
+// TestIRCSolveDegenerateCovariance checks the identity-whitening
 // fallback: an all-zero covariance must behave like MMSE with unit
 // loading, matching irc.go's complex128 fallback.
-func TestIRCSolveF32DegenerateCovariance(t *testing.T) {
+func TestIRCSolveDegenerateCovariance(t *testing.T) {
 	r := rng.New(23)
 	ant, layers := 4, 2
 	hRe, hIm, h := randChannelF32(r, ant, layers)
@@ -156,8 +147,8 @@ func TestIRCSolveF32DegenerateCovariance(t *testing.T) {
 	}
 	gotRe := make([]float32, layers*ant)
 	gotIm := make([]float32, layers*ant)
-	if !IRCSolveF32(gotRe, gotIm, rRe, rIm, hRe, hIm, ant, layers) {
-		t.Fatal("IRCSolveF32 failed on the degenerate-covariance fallback")
+	if !IRCSolve(gotRe, gotIm, rRe, rIm, hRe, hIm, ant, layers) {
+		t.Fatal("IRCSolve failed on the degenerate-covariance fallback")
 	}
 	checkWeightsF32(t, "IRC-fallback", ant, layers, gotRe, gotIm, want, 5e-4)
 }

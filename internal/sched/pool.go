@@ -152,12 +152,18 @@ type worker struct {
 	}
 }
 
-// NewPool starts the workers. Call Close to stop them. The worker
-// lifecycle is owned by p.wg: Add(Workers) before the spawns, every
-// run() defers Done, Close joins via wg.Wait.
-//
-//ltephy:spawn-point
+// NewPool builds the pool and starts its workers. Call Close to stop them.
 func NewPool(cfg Config) (*Pool, error) {
+	p, err := newPool(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.start()
+	return p, nil
+}
+
+// newPool builds the pool and its workers without starting them.
+func newPool(cfg Config) (*Pool, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -193,11 +199,19 @@ func NewPool(cfg Config) (*Pool, error) {
 		}
 		p.workers[i] = w
 	}
-	p.wg.Add(cfg.Workers)
+	return p, nil
+}
+
+// start spawns the worker goroutines. Their lifecycle is owned by p.wg:
+// Add(Workers) before the spawns, every run() defers Done, Close joins via
+// wg.Wait.
+//
+//ltephy:spawn-point
+func (p *Pool) start() {
+	p.wg.Add(len(p.workers))
 	for _, w := range p.workers {
 		go w.run()
 	}
-	return p, nil
 }
 
 // Workers returns the configured worker count.

@@ -231,6 +231,42 @@ func TestSetActiveWorkersMask(t *testing.T) {
 	}
 }
 
+// stealGate makes TestWorkIsActuallyDistributed independent of the host's
+// thread scheduling. Wrapped round every worker's deque, it holds the owner's
+// pop of its own task (asleep, so the P is free) until thieves have taken
+// need tasks in all: whether a second worker gets to run during one ~3 ms
+// subframe then no longer depends on a loaded 2-vCPU box running two of the
+// process's threads inside those 3 ms. The wait is bounded, so a pool that
+// does not steal still finishes the subframe — on one worker, which is what
+// the test reports.
+type stealGate struct {
+	steals atomic.Int64 // successful steals, all deques
+	need   atomic.Int64 // an owner's pop returns once steals reaches this
+}
+
+type gatedDeque struct {
+	taskDeque
+	g *stealGate
+}
+
+func (d gatedDeque) pop() (Task, bool) {
+	t, ok := d.taskDeque.pop()
+	if ok {
+		for start := time.Now(); d.g.steals.Load() < d.g.need.Load() && time.Since(start) < 10*time.Second; {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return t, ok
+}
+
+func (d gatedDeque) steal() (Task, bool) {
+	t, ok := d.taskDeque.steal()
+	if ok {
+		d.g.steals.Add(1)
+	}
+	return t, ok
+}
+
 func TestWorkIsActuallyDistributed(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		// On a single-P runtime the user thread drains its own deque before
@@ -240,26 +276,37 @@ func TestWorkIsActuallyDistributed(t *testing.T) {
 	}
 	cfg := DefaultPoolConfig()
 	cfg.Workers = 4
-	pool, err := NewPool(cfg)
+	pool, err := newPool(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate := &stealGate{}
+	for _, w := range pool.workers {
+		w.local = gatedDeque{w.local, gate}
+	}
+	pool.start()
 	defer pool.Close()
 	d := NewDispatcher(testDispatcherConfig())
-	// One big user: its 16 chanest + 24 data tasks should spread.
+	// One big user: its 16 chanest + 48 data tasks should spread.
 	sf, err := d.Subframe(0, []uplink.UserParams{{ID: 0, PRB: 40, Layers: 4, Mod: modulation.QAM64}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Warm the workers with one throw-away subframe (gate open), then assert
+	// on the next subframe's Stats delta, with the user thread's first task
+	// held until another worker has stolen one.
 	pool.ProcessSubframe(sf)
-	stats := pool.Stats()
+	before := pool.Stats()
+	gate.need.Store(gate.steals.Load() + 1)
+	pool.ProcessSubframe(sf)
 	workersWithTasks := 0
 	var totalTasks int64
-	for _, s := range stats {
-		if s.TasksRun > 0 {
+	for i, s := range pool.Stats() {
+		ran := s.TasksRun - before[i].TasksRun
+		if ran > 0 {
 			workersWithTasks++
 		}
-		totalTasks += s.TasksRun
+		totalTasks += ran
 	}
 	if totalTasks != 16+48 {
 		t.Errorf("total tasks run = %d, want 64 (16 chanest + 48 data)", totalTasks)

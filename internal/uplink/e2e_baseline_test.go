@@ -11,7 +11,7 @@ import (
 
 // TestWriteE2EBenchBaseline records the end-to-end subframe baseline
 // (BenchmarkSubframeE2E and the full-turbo variant) to the JSON file named
-// by LTEPHY_BENCH_E2E_OUT, in the same shape as BENCH_fft_baseline.json.
+// by LTEPHY_BENCH_E2E_OUT, in the shape cmd/bench-compare reads.
 // Skipped unless the variable is set; `make bench-e2e` drives it.
 func TestWriteE2EBenchBaseline(t *testing.T) {
 	out := os.Getenv("LTEPHY_BENCH_E2E_OUT")

@@ -292,8 +292,7 @@ func benchChanEstJobF32(tb testing.TB, stages int) (*workspace.Arena, *uplink.Us
 }
 
 // BenchmarkChanEstStageF32 is BenchmarkChanEstStage on the float32 lane
-// path — the ISSUE 6 ≥2x target against BENCH_fft_baseline.json's
-// complex128 number.
+// path.
 func BenchmarkChanEstStageF32(b *testing.B) {
 	ws, j := benchChanEstJobF32(b, 1)
 	b.ReportAllocs()

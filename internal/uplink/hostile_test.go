@@ -187,3 +187,107 @@ func TestHostileNoiseVariance(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileGridAtFrontDoor fills a user's whole received grids — the
+// reference symbols, the data symbols, or both — with NaN, ±Inf, denormal,
+// 1e300 or all-zero samples and runs the user through every stage: channel
+// estimation and its FFTs, noise estimation, the weight solve (MMSE and
+// IRC), combine/despread and the backend, at both precisions, at a smooth
+// transform length (4 PRB, n = 48) and at a prime-radix one (22 PRB,
+// n = 264 = 2^3*3*11). Nothing may panic and nothing hostile may pass as
+// data: the CRC fails, or — where the solver rejected the Gram matrix and
+// zeroed the weights, or the samples carried no energy to begin with — the
+// backend sees zero energy and emits the all-zero word every linear code
+// contains (telling that from a transmission is DTX detection, the ingest
+// layer's job). A clean user decoded next on the same arena and job must be
+// bit-identical to a fresh run.
+func TestHostileGridAtFrontDoor(t *testing.T) {
+	inf := math.Inf(1)
+	fills := []struct {
+		name string
+		v    complex128
+	}{
+		{"NaN", complex(math.NaN(), math.NaN())},
+		{"+Inf", complex(inf, inf)},
+		{"-Inf", complex(-inf, -inf)},
+		{"denormal", complex(5e-324, -5e-324)},
+		{"1e300", complex(1e300, -1e300)},
+		{"zero", 0},
+	}
+	targets := []struct {
+		name      string
+		ref, data bool
+	}{{"ref", true, false}, {"data", false, true}, {"ref+data", true, true}}
+
+	cfg := tx.DefaultConfig()
+	for _, prec := range []uplink.Precision{uplink.PrecisionComplex128, uplink.PrecisionFloat32} {
+		for _, comb := range []uplink.CombinerType{uplink.CombinerMMSE, uplink.CombinerIRC} {
+			rc := cfg.Receiver
+			rc.Precision, rc.Combiner = prec, comb
+			rc.Scramble, rc.EstimateNoise, rc.CorrectCFO = true, true, true
+			txCfg := cfg
+			txCfg.Receiver = rc
+			next, err := tx.Generate(txCfg, uplink.UserParams{ID: 4, PRB: 3, Layers: 1, Mod: modulation.QAM16}, rng.New(42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantNext, wantSoft, err := runOnArena(workspace.New(), &uplink.UserJob{}, rc, next, nil)
+			if err != nil || !wantNext.CRCOK {
+				t.Fatalf("%v/%v: clean reference run: err %v, CRC %v", prec, comb, err, wantNext.CRCOK)
+			}
+			ws, j := workspace.New(), &uplink.UserJob{}
+			for _, prb := range []int{4, 22} {
+				for _, f := range fills {
+					for _, tg := range targets {
+						name := fmt.Sprintf("%v/%v/%d PRB/%s in %s", prec, comb, prb, f.name, tg.name)
+						victim, err := tx.Generate(txCfg, uplink.UserParams{ID: 3, PRB: prb, Layers: 2, Mod: modulation.QPSK}, rng.New(41))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for slot := range victim.RefRx {
+							for a := range victim.RefRx[slot] {
+								if tg.ref {
+									fillWith(victim.RefRx[slot][a], f.v)
+								}
+								for sym := range victim.DataRx[slot] {
+									if tg.data {
+										fillWith(victim.DataRx[slot][sym][a], f.v)
+									}
+								}
+							}
+						}
+						res, _, err := runOnArena(ws, j, rc, victim, nil)
+						if err != nil {
+							t.Errorf("%s: %v", name, err)
+							continue
+						}
+						if len(res.Bits) != j.Format().PayloadBits {
+							t.Errorf("%s: %d payload bits, format has %d", name, len(res.Bits), j.Format().PayloadBits)
+						}
+						if res.CRCOK && !allZero(res.Bits) {
+							t.Errorf("%s: CRC passed on a non-zero payload", name)
+						}
+						got, gotSoft, err := runOnArena(ws, j, rc, next, nil)
+						if err != nil {
+							t.Fatalf("%s: next user: %v", name, err)
+						}
+						if !got.Equal(wantNext) || math.Float64bits(got.EVM) != math.Float64bits(wantNext.EVM) {
+							t.Fatalf("%s: next user on the same arena differs from a clean run", name)
+						}
+						for i := range wantSoft {
+							if math.Float64bits(gotSoft[i]) != math.Float64bits(wantSoft[i]) {
+								t.Fatalf("%s: next user's soft bit %d differs from a clean run", name, i)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func fillWith(dst []complex128, v complex128) {
+	for i := range dst {
+		dst[i] = v
+	}
+}

@@ -410,51 +410,51 @@ func (j *UserJob) ComputeWeights() {
 // computeLinearWeights fills the weight buffers for the MMSE family:
 // solveNV is the diagonal loading of the Gram matrix (the noise variance
 // for MMSE, a numerical guard for ZF), and mrc selects the per-layer
-// matched filter instead of the joint solve.
-func (j *UserJob) computeLinearWeights(a *workspace.Arena, solveNV float64, mrc bool) {
+// matched filter instead of the joint solve. Per subcarrier it gathers the
+// channel matrix into float64 split planes on the stack and runs the same
+// Cholesky solve as the float32 path (linalg.MMSESolve) — no arena marks,
+// no allocation.
+func (j *UserJob) computeLinearWeights(solveNV float64, mrc bool) {
 	if j.fp32 {
 		j.computeLinearWeightsF32(solveNV, mrc)
 		return
 	}
-	ant := j.Cfg.Antennas
-	m := a.Mark()
-	ws := linalg.NewMMSEWorkspaceIn(a, ant, j.layers)
-	h := linalg.NewMatrixIn(a, ant, j.layers)
-	w := linalg.NewMatrixIn(a, j.layers, ant)
+	n, ant, layers := j.n, j.Cfg.Antennas, j.layers
+	al := ant * layers
+	var hR, hI, wR, wI [linalg.MaxDim * linalg.MaxDim]float64
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
 		hs := j.hest[slot]
 		out := j.weights[slot]
-		for k := 0; k < j.n; k++ {
-			for ai := 0; ai < ant; ai++ {
-				for l := 0; l < j.layers; l++ {
-					h.Set(ai, l, hs[(ai*j.layers+l)*j.n+k])
-				}
+		for k := 0; k < n; k++ {
+			for i := 0; i < al; i++ {
+				v := hs[i*n+k]
+				hR[i], hI[i] = real(v), imag(v)
 			}
 			if mrc {
 				// Per-layer matched filter: w_l = h_l^H / (|h_l|^2 + nv).
-				for l := 0; l < j.layers; l++ {
+				for l := 0; l < layers; l++ {
 					var norm float64
-					for ai := 0; ai < ant; ai++ {
-						v := h.At(ai, l)
-						norm += real(v)*real(v) + imag(v)*imag(v)
+					for a := 0; a < ant; a++ {
+						norm += hR[a*layers+l]*hR[a*layers+l] + hI[a*layers+l]*hI[a*layers+l]
 					}
-					scale := complex(1/(norm+solveNV), 0)
-					for ai := 0; ai < ant; ai++ {
-						w.Set(l, ai, cmplxConj(h.At(ai, l))*scale)
+					scale := 1 / (norm + solveNV)
+					for a := 0; a < ant; a++ {
+						wR[l*ant+a] = hR[a*layers+l] * scale
+						wI[l*ant+a] = -hI[a*layers+l] * scale
 					}
 				}
-			} else if err := ws.Solve(&w, h, solveNV); err != nil {
-				// A singular channel estimate (all-zero input data) yields
-				// zero weights for this subcarrier rather than failing the
-				// whole subframe.
-				for i := range w.Data {
-					w.Data[i] = 0
-				}
+			} else if !linalg.MMSESolve(wR[:al], wI[:al], hR[:al], hI[:al], ant, layers, solveNV) {
+				// A Gram matrix that is not positive definite (a NaN channel
+				// estimate) yields zero weights for this subcarrier rather
+				// than failing the whole subframe.
+				clear(wR[:al])
+				clear(wI[:al])
 			}
-			copy(out[(k*j.layers)*ant:(k*j.layers+j.layers)*ant], w.Data)
+			for i := range al {
+				out[k*al+i] = complex(wR[i], wI[i])
+			}
 		}
 	}
-	a.Release(m)
 }
 
 // DataTask combines one (slot, symbol, layer) with heap scratch — the

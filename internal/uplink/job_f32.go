@@ -263,7 +263,7 @@ func (j *UserJob) computeLinearWeightsF32(solveNV float64, mrc bool) {
 	n, ant, layers := j.n, j.Cfg.Antennas, j.layers
 	al := ant * layers
 	nv := float32(solveNV)
-	var hR, hI, wR, wI [linalg.MaxDimF32 * linalg.MaxDimF32]float32
+	var hR, hI, wR, wI [linalg.MaxDim * linalg.MaxDim]float32
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
 		hre, him := j.f32.hest(slot, al, n)
 		outRe, outIm := j.f32.wRe[slot], j.f32.wIm[slot]
@@ -287,7 +287,7 @@ func (j *UserJob) computeLinearWeightsF32(solveNV float64, mrc bool) {
 						wI[l*ant+a] = -hI[a*layers+l] * scale
 					}
 				}
-			} else if !linalg.MMSESolveF32(wR[:al], wI[:al], hR[:al], hI[:al], ant, layers, nv) {
+			} else if !linalg.MMSESolve(wR[:al], wI[:al], hR[:al], hI[:al], ant, layers, nv) {
 				// Singular channel: zero weights for this subcarrier, as in
 				// the complex128 path.
 				for i := 0; i < al; i++ {
@@ -311,8 +311,8 @@ func (j *UserJob) computeLinearWeightsF32(solveNV float64, mrc bool) {
 func (j *UserJob) estimateCovarianceF32(rRe, rIm []float32) {
 	n, ant, layers := j.n, j.Cfg.Antennas, j.layers
 	al := ant * layers
-	var accRe, accIm [linalg.MaxDimF32 * linalg.MaxDimF32]float64
-	var eR, eI [linalg.MaxDimF32]float32
+	var accRe, accIm [linalg.MaxDim * linalg.MaxDim]float64
+	var eR, eI [linalg.MaxDim]float32
 	count := 0
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
 		hre, him := j.f32.hest(slot, al, n)
@@ -359,9 +359,9 @@ func (j *UserJob) estimateCovarianceF32(rRe, rIm []float32) {
 func (j *UserJob) computeIRCWeightsF32() {
 	n, ant, layers := j.n, j.Cfg.Antennas, j.layers
 	al := ant * layers
-	var rR, rI [linalg.MaxDimF32 * linalg.MaxDimF32]float32
+	var rR, rI [linalg.MaxDim * linalg.MaxDim]float32
 	j.estimateCovarianceF32(rR[:ant*ant], rI[:ant*ant])
-	var hR, hI, wR, wI [linalg.MaxDimF32 * linalg.MaxDimF32]float32
+	var hR, hI, wR, wI [linalg.MaxDim * linalg.MaxDim]float32
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
 		hre, him := j.f32.hest(slot, al, n)
 		outRe, outIm := j.f32.wRe[slot], j.f32.wIm[slot]
@@ -372,7 +372,7 @@ func (j *UserJob) computeIRCWeightsF32() {
 					hI[a*layers+l] = him[(a*layers+l)*n+k]
 				}
 			}
-			if !linalg.IRCSolveF32(wR[:al], wI[:al], rR[:ant*ant], rI[:ant*ant], hR[:al], hI[:al], ant, layers) {
+			if !linalg.IRCSolve(wR[:al], wI[:al], rR[:ant*ant], rI[:ant*ant], hR[:al], hI[:al], ant, layers) {
 				for i := 0; i < al; i++ {
 					wR[i], wI[i] = 0, 0
 				}

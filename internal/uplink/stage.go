@@ -91,9 +91,9 @@ type mmseWeights struct{}
 
 func (mmseWeights) Name() string         { return "weights-mmse" }
 func (mmseWeights) Tasks(j *UserJob) int { return 1 }
-func (mmseWeights) Run(ws *workspace.Arena, j *UserJob, _ int) {
+func (mmseWeights) Run(_ *workspace.Arena, j *UserJob, _ int) {
 	j.resolveNoiseAndCFO()
-	j.computeLinearWeights(ws, j.nv, false)
+	j.computeLinearWeights(j.nv, false)
 }
 
 // zfWeights is zero forcing: the same solver with a vanishing diagonal
@@ -102,9 +102,9 @@ type zfWeights struct{}
 
 func (zfWeights) Name() string         { return "weights-zf" }
 func (zfWeights) Tasks(j *UserJob) int { return 1 }
-func (zfWeights) Run(ws *workspace.Arena, j *UserJob, _ int) {
+func (zfWeights) Run(_ *workspace.Arena, j *UserJob, _ int) {
 	j.resolveNoiseAndCFO()
-	j.computeLinearWeights(ws, 1e-9, false)
+	j.computeLinearWeights(1e-9, false)
 }
 
 // mrcWeights is the per-layer matched filter w_l = h_l^H / (|h_l|^2 + nv).
@@ -112,9 +112,9 @@ type mrcWeights struct{}
 
 func (mrcWeights) Name() string         { return "weights-mrc" }
 func (mrcWeights) Tasks(j *UserJob) int { return 1 }
-func (mrcWeights) Run(ws *workspace.Arena, j *UserJob, _ int) {
+func (mrcWeights) Run(_ *workspace.Arena, j *UserJob, _ int) {
 	j.resolveNoiseAndCFO()
-	j.computeLinearWeights(ws, j.nv, true)
+	j.computeLinearWeights(j.nv, true)
 }
 
 // ircWeights whitens the combiner with the estimated interference
@@ -123,9 +123,9 @@ type ircWeights struct{}
 
 func (ircWeights) Name() string         { return "weights-irc" }
 func (ircWeights) Tasks(j *UserJob) int { return 1 }
-func (ircWeights) Run(ws *workspace.Arena, j *UserJob, _ int) {
+func (ircWeights) Run(_ *workspace.Arena, j *UserJob, _ int) {
 	j.resolveNoiseAndCFO()
-	j.computeIRCWeights(ws)
+	j.computeIRCWeights()
 }
 
 // dataStage combines one (slot, symbol, layer) across antennas and
