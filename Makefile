@@ -177,14 +177,16 @@ fleet-smoke:
 	@echo "fleet-smoke: OK"
 
 # Benchmark smoke: the repository benchmark (BENCHMARK.json) for 3 s on its
-# reference workload, untraced then traced, and on frontend_wide untraced —
-# the workload with a prime-radix transform length (22 PRB, n = 264). Every
-# pass is compared bit for bit with a golden serial pass, so a receiver
-# change that breaks it fails here rather than in the pipeline's benchmark
-# run; the run's last line is its JSON verdict.
+# reference workload, untraced then traced, on frontend_wide untraced — the
+# workload with a prime-radix transform length (22 PRB, n = 264) — and on
+# ref_turbo_op untraced, the only one that decodes: int8 window kernel,
+# rate-dematch and CRC gate, half-iteration counts included. Every pass is
+# compared bit for bit with a golden serial pass, so a receiver change that
+# breaks it fails here rather than in the pipeline's benchmark run; the
+# run's last line is its JSON verdict.
 benchmark-smoke:
 	@set -e; mkdir -p .bench_build; \
-	for run in "ref_passthrough 0" "ref_passthrough 1" "frontend_wide 0"; do \
+	for run in "ref_passthrough 0" "ref_passthrough 1" "frontend_wide 0" "ref_turbo_op 0"; do \
 		set -- $$run; \
 		bash benchmark/run.sh --workload $$1 --seconds 3 --trace $$2 | tee .bench_build/smoke.txt; \
 		tail -n 1 .bench_build/smoke.txt | grep -q '"correct":true' || \

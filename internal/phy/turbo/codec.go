@@ -138,14 +138,13 @@ func (c *Codec) DecodeEarlyStop(llr []float64, iterations int, check func([]uint
 // DecodeEarlyStopIn is DecodeEarlyStop with all working state — trellis
 // metrics, extrinsics, and the two alternating hard-decision buffers —
 // drawn from ws (heap-allocated when ws is nil). The returned bit slice is
-// arena-backed: it is valid only until the caller releases the arena mark
-// enclosing this call, so callers must copy it out first. The check
+// arena-backed by contract: it is valid only until the caller releases the
+// arena mark enclosing this call, which the caller holds (see
+// segment.DecodeInto), so callers must copy it out first. The check
 // callback likewise must not retain its argument, which is overwritten on
 // the next iteration.
 //
-// caller holds the mark (see segment.DecodeInto) and copies before Release.
-//
-//ltephy:owns-scratch — returns arena-backed decisions by contract; the
+//ltephy:owns-scratch
 func (c *Codec) DecodeEarlyStopIn(ws *workspace.Arena, llr []float64, iterations int, check func([]uint8) bool) ([]uint8, int) {
 	if len(llr) != CodedLen(c.k) {
 		panic(fmt.Sprintf("turbo: Decode got %d LLRs, want %d", len(llr), CodedLen(c.k)))
@@ -229,11 +228,11 @@ type decoderState struct {
 
 // newDecoderState carves the working buffers from ws (heap when nil). All
 // buffers come back zeroed either way — required: ext2 is read (as the
-// initial apriori) before the first half-iteration writes it.
+// initial apriori) before the first half-iteration writes it. It is a carve
+// constructor: DecodeEarlyStopIn's caller holds the mark bounding the
+// state's lifetime.
 //
-// the mark bounding the state's lifetime.
-//
-//ltephy:owns-scratch — carve constructor; DecodeEarlyStopIn's caller holds
+//ltephy:owns-scratch
 func newDecoderState(ws *workspace.Arena, k int) decoderState {
 	n := k + 4 // info steps + 3 tail steps + terminal column
 	return decoderState{

@@ -1,6 +1,7 @@
 package turbo
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -41,9 +42,10 @@ func FuzzSegmentationRoundTrip(f *testing.F) {
 // On clean inputs (every LLR has the transmitted sign and dominant
 // magnitude) both kernels must recover the payload exactly; on noisy or
 // saturation-spiked inputs the quantized decoder must still return
-// well-formed output, stay within its iteration budget, and decode
-// bit-identically under window fan-out — the properties that hold for
-// arbitrary garbage, where payload parity legitimately may not.
+// well-formed output, stay within its iteration budget, agree bit for bit
+// with the reference kernel, and decode bit-identically under window
+// fan-out — the properties that hold for arbitrary garbage, where payload
+// parity legitimately may not.
 func FuzzTurboQuantized(f *testing.F) {
 	f.Add(uint16(0), uint64(1), uint8(0), false)
 	f.Add(uint16(3), uint64(7), uint8(20), false)
@@ -101,14 +103,14 @@ func FuzzTurboQuantized(f *testing.F) {
 		if qh < 1 || qh > 2*iters {
 			t.Fatalf("K=%d: %d half-iterations outside [1, %d]", k, qh, 2*iters)
 		}
+		// The kernel is bit-identical to its reference on any input.
+		if rb, rh := refDecodeQuant(c, llr, opts); rh != qh || !slices.Equal(rb, qb) {
+			t.Fatalf("K=%d: kernel ran %d half-iterations, reference %d; bits equal: %v", k, qh, rh, slices.Equal(rb, qb))
+		}
 		// Window fan-out determinism: reverse execution order must be
 		// bit-identical (including the realized half-iteration count).
 		po := opts
-		po.Par = func(n int, fn func(int)) {
-			for i := n - 1; i >= 0; i-- {
-				fn(i)
-			}
-		}
+		po.Par = reverseOrder
 		qb2, qh2 := c.DecodeQuant(llr, po)
 		if qh2 != qh {
 			t.Fatalf("K=%d: fan-out changed half-iterations %d -> %d", k, qh, qh2)

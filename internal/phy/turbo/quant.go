@@ -25,11 +25,20 @@ import (
 // invariant to per-column constants). Boundary columns are rescale-
 // normalized (max subtracted) when stored, so boundary values stay in
 // int16 range and path-metric drift never accumulates across iterations.
-// Windows share no mutable state except their private slices of the
-// alpha slab, the extrinsic output, the decision buffer, and their own
-// boundary entries — so a Parallel hook can fan the windows of one large
-// code block out across pool workers with bit-identical results for any
-// worker count.
+// A window's path metrics live in a slab on the stack of whoever runs it;
+// windows share no mutable state except their private slices of the
+// extrinsic output and the decision buffer, and their own boundary
+// entries — so a Parallel hook can fan the windows of one large code
+// block out across pool workers with bit-identical results for any worker
+// count.
+//
+// The window kernel (qWindowKernel) has no data-dependent branch — the
+// sign of a decoded bit and the winner of a metric comparison are coin
+// flips — and is written for a register file that cannot hold the
+// trellis: states s and s+4 share their two successors, so both
+// recursions walk the four state pairs, each read from the slab and
+// written back before the next is touched. quant_test.go keeps the kernel
+// this one replaced as the oracle it is bit-identical to.
 //
 // Decoding stops per half-iteration: as soon as the CRC gate (opts.Check)
 // passes, or hard decisions repeat across two consecutive half-iterations
@@ -88,22 +97,17 @@ func (c *Codec) DecodeQuant(llr []float64, opts DecodeOpts) ([]uint8, int) {
 // laid out as Encode produces (positive LLR = bit 0), drawing all working
 // state from ws (heap when nil). It returns the hard info bits and the
 // number of half-iterations executed. The returned bit slice is
-// arena-backed: valid only until the caller releases the enclosing arena
-// mark, so callers must copy it out first.
+// arena-backed by contract: valid only until the caller releases the
+// enclosing arena mark, which the caller holds (see segment.DecodeInto),
+// so callers must copy it out first.
 //
-// caller holds the mark (see segment.DecodeInto) and copies before Release.
-//
-//ltephy:owns-scratch — returns arena-backed decisions by contract; the
+//ltephy:owns-scratch
 func (c *Codec) DecodeQuantIn(ws *workspace.Arena, llr []float64, opts DecodeOpts) ([]uint8, int) {
 	if len(llr) != CodedLen(c.k) {
 		panic(fmt.Sprintf("turbo: DecodeQuant got %d LLRs, want %d", len(llr), CodedLen(c.k)))
 	}
-	iterations := opts.Iterations
-	if iterations < 1 {
-		iterations = 1
-	}
-	k := c.k
-	d := newQDecoderState(ws, k)
+	halfIters := 2 * max(opts.Iterations, 1)
+	d := newQDecoderState(ws, c.k)
 	// Fan-out pays only when a block has enough windows to spread: below
 	// the threshold the task push/steal traffic costs more than a worker
 	// saves, so small blocks always decode serially (bit-identical either
@@ -111,82 +115,93 @@ func (c *Codec) DecodeQuantIn(ws *workspace.Arena, llr []float64, opts DecodeOpt
 	if d.nw < qParMinWindows {
 		opts.Par = nil
 	}
+	d.load(c, llr)
 
-	// Per-block saturating quantization at the decode boundary: the
-	// block's peak LLR magnitude maps to full scale.
-	maxAbs := 0.0
-	for _, v := range llr {
-		if v > maxAbs {
-			maxAbs = v
-		} else if -v > maxAbs {
-			maxAbs = -v
-		}
-	}
-	scale := 1.0
-	if maxAbs > 0 {
-		scale = qChanMax / maxAbs
-	}
-	quantizeLLR(d.qsys, llr[:k], scale)
-	quantizeLLR(d.qp1, llr[k:2*k], scale)
-	quantizeLLR(d.qp2, llr[2*k:3*k], scale)
-	tails := llr[3*k:]
-	for t := 0; t < 3; t++ {
-		d.t1sys[t] = quantOne(tails[2*t], scale)
-		d.t1par[t] = quantOne(tails[2*t+1], scale)
-		d.t2sys[t] = quantOne(tails[6+2*t], scale)
-		d.t2par[t] = quantOne(tails[6+2*t+1], scale)
-	}
-	permute(d.qsysIlv, d.qsys, c.il.perm)
-
-	// Fixed trellis boundaries, identical in both double buffers: the
-	// encoder starts in state 0, and termination pins beta at position k
-	// exactly (computed once — tail steps carry no apriori, so the tail
-	// beta never changes across iterations).
-	for _, ab := range [][]int32{d.a1p, d.a1c, d.a2p, d.a2c} {
-		for s := 1; s < nStates; s++ {
-			ab[s] = negInfQ
-		}
-	}
-	bt1 := qTailBeta(d.t1sys, d.t1par)
-	bt2 := qTailBeta(d.t2sys, d.t2par)
-	end := d.nw * nStates
-	copy(d.b1p[end:], bt1[:])
-	copy(d.b1c[end:], bt1[:])
-	copy(d.b2p[end:], bt2[:])
-	copy(d.b2c[end:], bt2[:])
-
-	cur := ws.Bytes(k)
-	prev := ws.Bytes(k)
-	halfIters := 0
-	for it := 0; it < iterations; it++ {
-		// Half-iteration 1 (natural order): apriori = deinterleaved
-		// extrinsic from decoder 2.
-		permute(d.apr1, d.ext2, c.il.inv)
-		qHalf(d.nw, k, d.alpha, d.qsys, d.qp1, d.apr1, d.ext1, d.a1p, d.a1c, d.b1p, d.b1c, cur, nil, opts.Par)
-		d.a1p, d.a1c = d.a1c, d.a1p
-		d.b1p, d.b1c = d.b1c, d.b1p
-		halfIters++
-		if done, bits := qStop(cur, prev, halfIters, opts); done {
-			return bits, halfIters
-		}
-		cur, prev = prev, cur
-
-		// Half-iteration 2 (interleaved order). Decisions land directly
-		// in natural order via the permutation, so the CRC gate runs
-		// without a deinterleave pass.
-		permute(d.apr2, d.ext1, c.il.perm)
-		qHalf(d.nw, k, d.alpha, d.qsysIlv, d.qp2, d.apr2, d.ext2, d.a2p, d.a2c, d.b2p, d.b2c, cur, c.il.perm, opts.Par)
-		d.a2p, d.a2c = d.a2c, d.a2p
-		d.b2p, d.b2c = d.b2c, d.b2p
-		halfIters++
-		if done, bits := qStop(cur, prev, halfIters, opts); done {
-			return bits, halfIters
+	cur := ws.Bytes(c.k)
+	prev := ws.Bytes(c.k)
+	for h := 1; h <= halfIters; h++ {
+		d.half(c, (h-1)%2, cur, opts.Par)
+		if done, bits := qStop(cur, prev, h, opts); done {
+			return bits, h
 		}
 		cur, prev = prev, cur
 	}
 	// The loop always swaps after the last half-iteration, so prev holds
 	// the latest decisions.
 	return prev, halfIters
+}
+
+// load quantizes one code block's channel LLRs into the two constituent
+// decoders and pins the trellis boundaries that never change.
+func (d *qdecoderState) load(c *Codec, llr []float64) {
+	// Per-block saturating quantization at the decode boundary: the
+	// block's peak LLR magnitude maps to full scale. A NaN never compares
+	// greater, so it cannot become the peak.
+	maxAbs := 0.0
+	for _, v := range llr {
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	scale := 1.0
+	if maxAbs > 0 {
+		scale = qChanMax / maxAbs
+	}
+	k, d1, d2 := d.k, &d.dec[0], &d.dec[1]
+	quantizeLLR(d1.sys, llr[:k], scale)
+	quantizeLLR(d1.par, llr[k:2*k], scale)
+	quantizeLLR(d2.par, llr[2*k:3*k], scale)
+	permute(d2.sys, d1.sys, c.il.perm)
+
+	// Fixed trellis boundaries, identical in both double buffers: the
+	// encoder starts in state 0, and termination pins beta at position k
+	// exactly (computed once — tail steps carry no apriori, so the tail
+	// beta never changes across iterations).
+	for i := range d.dec {
+		dc, tails := &d.dec[i], llr[3*k+6*i:]
+		for s := 1; s < nStates; s++ {
+			dc.aPrev[s], dc.aCur[s] = negInfQ, negInfQ
+		}
+		var tsys, tpar [3]int32
+		for t := range tsys {
+			tsys[t], tpar[t] = quantOne(tails[2*t], scale), quantOne(tails[2*t+1], scale)
+		}
+		bt := qTailBeta(tsys, tpar)
+		copy(dc.bPrev[d.nw*nStates:], bt[:])
+		copy(dc.bCur[d.nw*nStates:], bt[:])
+	}
+}
+
+// half runs half-iteration i of a full iteration. Constituent 0 decodes in
+// natural order with the deinterleaved extrinsic of constituent 1 as its
+// apriori; constituent 1 decodes in interleaved order, and its decisions
+// land in natural order through the permutation, so the CRC gate runs
+// without a deinterleave pass.
+func (d *qdecoderState) half(c *Codec, i int, cur []uint8, p Parallel) {
+	dc, order, posMap := &d.dec[i], c.il.inv, []int32(nil)
+	if i == 1 {
+		order, posMap = c.il.perm, c.il.perm
+	}
+	permute(dc.apr, d.dec[1-i].ext, order)
+	if p == nil {
+		for w := 0; w < d.nw; w++ {
+			dc.window(w, cur, posMap)
+		}
+	} else {
+		dc.fanOut(d.nw, cur, posMap, p)
+	}
+	dc.aPrev, dc.aCur = dc.aCur, dc.aPrev
+	dc.bPrev, dc.bCur = dc.bCur, dc.bPrev
+}
+
+// fanOut runs the windows of one half-iteration through p. The receiver
+// is a copy, so the closure pins that copy and not the decoder state: the
+// serial path keeps its state off the heap.
+func (dc qConstituent) fanOut(nw int, cur []uint8, posMap []int32, p Parallel) {
+	//ltephy:alloc-ok — one fan-out closure per half-iteration, only on
+	// the explicitly-parallel path; the serial loop in half is the
+	// zero-alloc one.
+	p(nw, func(w int) { dc.window(w, cur, posMap) })
 }
 
 // qStop evaluates the per-half-iteration termination gates: the CRC check
@@ -212,135 +227,130 @@ func qStop(cur, prev []uint8, halfIters int, opts DecodeOpts) (bool, []uint8) {
 	return false, nil
 }
 
-// qHalf runs one constituent half-iteration: the window passes (forward
-// recursion into the alpha slab, then a fused backward/extrinsic pass),
-// serial or fanned out via p. posMap, when non-nil, maps trellis
-// position to decision-buffer position (the QPP permutation for the
-// second decoder); windows write disjoint decision positions either way
-// because the permutation is a bijection. Deliberately a free function
-// over plain slices: the fan-out closure then captures only values, so
-// the serial path keeps the decoder state off the heap.
-func qHalf(nw, k int, slab []int32, sys, par, apr, ext []int8, aPrev, aCur, bPrev, bCur []int32, cur []uint8, posMap []int32, p Parallel) {
-	if p == nil {
-		for w := 0; w < nw; w++ {
-			qWindowPass(k, slab, w, sys, par, apr, ext, aPrev, aCur, bPrev, bCur, cur, posMap)
-		}
-		return
-	}
-	//ltephy:alloc-ok — one fan-out closure per half-iteration, only on
-	// the explicitly-parallel path; the serial branch above is the
-	// zero-alloc one.
-	p(nw, func(w int) {
-		qWindowPass(k, slab, w, sys, par, apr, ext, aPrev, aCur, bPrev, bCur, cur, posMap)
-	})
-}
-
-// qWindowPass decodes window w of one constituent pass: positions
+// window decodes window w of one constituent pass: positions
 // [w*qWindow, min((w+1)*qWindow, k)). It reads only the previous
 // half-iteration's boundary metrics (aPrev/bPrev) plus its own input
-// slices, and writes its slab columns, extrinsics, decisions, and its
-// out-boundary entries in aCur/bCur — all disjoint across windows.
-//
-// Both recursions are fully unrolled over the fixed 8-state trellis of
-// g0=13, g1=15 (the tables in codec.go spelled out as constants), so the
-// inner loops are straight-line int32 arithmetic with no table loads or
-// bounds checks. Only two distinct branch metrics exist per step at 2x
-// scale — p = ls+lp for (bit 0, parity 0) and q = ls-lp for (bit 0,
-// parity 1) — with the bit-1 metrics their negations.
-func qWindowPass(k int, slab []int32, w int, sys, par, apr, ext []int8, aPrev, aCur, bPrev, bCur []int32, cur []uint8, posMap []int32) {
+// slices, and writes its extrinsics, decisions, and its out-boundary
+// entries in aCur/bCur — all disjoint across windows. posMap, when
+// non-nil, maps trellis position to decision-buffer position (the QPP
+// permutation, a bijection, for the second decoder): where a decision
+// lands is all that differs between the two, and the kernel never sees it.
+func (dc *qConstituent) window(w int, cur []uint8, posMap []int32) {
 	lo := w * qWindow
-	hi := lo + qWindow
-	if hi > k {
-		hi = k
+	hi := min(lo+qWindow, len(dc.sys))
+	aIn, aOut := dc.aPrev[w*nStates:(w+1)*nStates], dc.aCur[(w+1)*nStates:(w+2)*nStates]
+	bIn, bOut := dc.bPrev[(w+1)*nStates:(w+2)*nStates], dc.bCur[w*nStates:(w+1)*nStates]
+	var inOrder [qWindow]uint8
+	dec := cur[lo:hi]
+	if posMap != nil {
+		dec = inOrder[:hi-lo]
 	}
-
-	// Forward recursion from the previous-iteration in-boundary; column t
-	// (alpha before consuming symbol t) is stored for the backward pass.
-	ab := aPrev[w*nStates : (w+1)*nStates : (w+1)*nStates]
-	a0, a1, a2, a3 := ab[0], ab[1], ab[2], ab[3]
-	a4, a5, a6, a7 := ab[4], ab[5], ab[6], ab[7]
-	for t := lo; t < hi; t++ {
-		col := slab[t*nStates : t*nStates+nStates : t*nStates+nStates]
-		col[0], col[1], col[2], col[3] = a0, a1, a2, a3
-		col[4], col[5], col[6], col[7] = a4, a5, a6, a7
-		ls := int32(sys[t]) + int32(apr[t])
-		lp := int32(par[t])
-		p, q := ls+lp, ls-lp
-		a0, a1, a2, a3, a4, a5, a6, a7 =
-			maxI32(a0+p, a4-p), maxI32(a0-p, a4+p),
-			maxI32(a1+q, a5-q), maxI32(a1-q, a5+q),
-			maxI32(a2-q, a6+q), maxI32(a2+q, a6-q),
-			maxI32(a3-p, a7+p), maxI32(a3+p, a7-p)
-	}
-	storeNorm8(aCur[(w+1)*nStates:(w+2)*nStates], a0, a1, a2, a3, a4, a5, a6, a7)
-
-	// Backward recursion from the previous-iteration out-boundary, fused
-	// with extrinsic extraction and hard decisions. u_s/v_s are the
-	// bit-0/bit-1 branch totals beta[next]+gamma for state s: nb[s] =
-	// max(u_s, v_s), and joined with the stored alpha column they give
-	// the two path-metric maxima whose difference is the total LLR.
-	bb := bPrev[(w+1)*nStates : (w+2)*nStates : (w+2)*nStates]
-	n0, n1, n2, n3 := bb[0], bb[1], bb[2], bb[3]
-	n4, n5, n6, n7 := bb[4], bb[5], bb[6], bb[7]
-	for t := hi - 1; t >= lo; t-- {
-		col := slab[t*nStates : t*nStates+nStates : t*nStates+nStates]
-		ls := int32(sys[t]) + int32(apr[t])
-		lp := int32(par[t])
-		p, q := ls+lp, ls-lp
-
-		u0, v0 := n0+p, n1-p
-		u1, v1 := n2+q, n3-q
-		u2, v2 := n5+q, n4-q
-		u3, v3 := n7+p, n6-p
-		u4, v4 := n1+p, n0-p
-		u5, v5 := n3+q, n2-q
-		u6, v6 := n4+q, n5-q
-		u7, v7 := n6+p, n7-p
-
-		best0 := maxI32(maxI32(maxI32(col[0]+u0, col[1]+u1), maxI32(col[2]+u2, col[3]+u3)),
-			maxI32(maxI32(col[4]+u4, col[5]+u5), maxI32(col[6]+u6, col[7]+u7)))
-		best1 := maxI32(maxI32(maxI32(col[0]+v0, col[1]+v1), maxI32(col[2]+v2, col[3]+v3)),
-			maxI32(maxI32(col[4]+v4, col[5]+v5), maxI32(col[6]+v6, col[7]+v7)))
-
-		n0, n1, n2, n3 = maxI32(u0, v0), maxI32(u1, v1), maxI32(u2, v2), maxI32(u3, v3)
-		n4, n5, n6, n7 = maxI32(u4, v4), maxI32(u5, v5), maxI32(u6, v6), maxI32(u7, v7)
-
-		// best0-best1 is the total LLR at 2x scale (it contains
-		// sys+apr+ext); subtracting 2*(sys+apr) leaves twice the
-		// extrinsic, and (3*e)>>3 applies the 3/4 extrinsic scale while
-		// returning to 1x, saturated into int8 for the next apriori.
-		delta := best0 - best1
-		pos := t
-		if posMap != nil {
-			pos = int(posMap[t])
+	qWindowKernel(dc.sys[lo:hi], dc.par[lo:hi], dc.apr[lo:hi], dc.ext[lo:hi], dec, aIn, aOut, bIn, bOut)
+	if posMap != nil {
+		for i, pos := range posMap[lo:hi] {
+			cur[pos] = dec[i]
 		}
-		if delta < 0 {
-			cur[pos] = 1
-		} else {
-			cur[pos] = 0
-		}
-		e := delta - 2*ls
-		ext[t] = sat8(3 * e >> 3)
 	}
-	storeNorm8(bCur[w*nStates:(w+1)*nStates], n0, n1, n2, n3, n4, n5, n6, n7)
 }
 
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
+// qWindowKernel is the trellis arithmetic of one window over window-local
+// slices, all of len(sys) <= qWindow steps.
+//
+// Both recursions are unrolled over the fixed 8-state trellis of g0=13,
+// g1=15 (the tables in codec.go spelled out as constants): straight-line
+// int32 arithmetic with no table loads, no bounds checks and no
+// data-dependent branch — every max is a compare-select, the hard decision
+// is the sign bit of the total LLR. Only two distinct branch metrics exist
+// per step at 2x scale — p = ls+lp for (bit 0, parity 0) and q = ls-lp for
+// (bit 0, parity 1) — with the bit-1 metrics their negations.
+//
+// States s and s+4 have the same two successors, 2s and 2s+1 (mod 8), so
+// the trellis is four such pairs and a column is updated a pair at a time,
+// through the slab: load two metrics, compare-select, store two. Eight
+// metrics, their sixteen candidates and the inputs do not fit fourteen
+// registers, and the compiler schedules every add it can before the first
+// compare; a store between pairs is what keeps a pair's temporaries from
+// outliving it. The backward pass goes one further: pair (s, s+4) consumes
+// alpha[s], alpha[s+4] of column t and produces beta[s], beta[s+4] of the
+// same column, so it overwrites the alpha column with the beta column in
+// place and the next step reads its successors' betas from there.
+func qWindowKernel(sys, par, apr, ext []int8, dec []uint8, aIn, aOut, bIn, bOut []int32) {
+	// Column t is alpha before consuming symbol t, then beta at t. Always
+	// written before it is read; on the stack so that concurrent windows
+	// cannot share it.
+	var slab [qWindow + 1][nStates]int32
+	n := min(len(sys), qWindow)
+	par, apr, ext, dec = par[:n], apr[:n], ext[:n], dec[:n]
+
+	// Forward recursion from the previous-iteration in-boundary.
+	copy(slab[0][:], aIn)
+	for t := 0; t < n; t++ {
+		col, nxt := &slab[t], &slab[t+1]
+		ls := int32(sys[t]) + int32(apr[t])
+		lp := int32(par[t])
+		p, q := ls+lp, ls-lp
+		x, y := col[0], col[4]
+		nxt[0], nxt[1] = max(x+p, y-p), max(x-p, y+p)
+		x, y = col[1], col[5]
+		nxt[2], nxt[3] = max(x+q, y-q), max(x-q, y+q)
+		x, y = col[2], col[6]
+		nxt[4], nxt[5] = max(x-q, y+q), max(x+q, y-q)
+		x, y = col[3], col[7]
+		nxt[6], nxt[7] = max(x-p, y+p), max(x+p, y-p)
 	}
-	return b
+	storeNorm8(aOut, &slab[n])
+
+	// Backward recursion from the previous-iteration out-boundary, fused
+	// with extrinsic extraction and hard decisions. For the pair's low
+	// state, u/v are the bit-0/bit-1 branch totals beta[next]+gamma, x/y
+	// those of its high state: the new betas are max(u, v) and max(x, y),
+	// and joined with the pair's alphas a/b they feed the two path-metric
+	// maxima b0/b1 whose difference is the total LLR.
+	copy(slab[n][:], bIn)
+	for t := n - 1; t >= 0; t-- {
+		col, nxt := &slab[t], &slab[t+1]
+		ls := int32(sys[t]) + int32(apr[t])
+		lp := int32(par[t])
+		p, q := ls+lp, ls-lp
+
+		u, v, x, y := nxt[0]+p, nxt[1]-p, nxt[1]+p, nxt[0]-p
+		a, b := col[0], col[4]
+		b0, b1 := max(a+u, b+x), max(a+v, b+y)
+		col[0], col[4] = max(u, v), max(x, y)
+		u, v, x, y = nxt[2]+q, nxt[3]-q, nxt[3]+q, nxt[2]-q
+		a, b = col[1], col[5]
+		b0, b1 = max(b0, a+u, b+x), max(b1, a+v, b+y)
+		col[1], col[5] = max(u, v), max(x, y)
+		u, v, x, y = nxt[5]+q, nxt[4]-q, nxt[4]+q, nxt[5]-q
+		a, b = col[2], col[6]
+		b0, b1 = max(b0, a+u, b+x), max(b1, a+v, b+y)
+		col[2], col[6] = max(u, v), max(x, y)
+		u, v, x, y = nxt[7]+p, nxt[6]-p, nxt[6]+p, nxt[7]-p
+		a, b = col[3], col[7]
+		b0, b1 = max(b0, a+u, b+x), max(b1, a+v, b+y)
+		col[3], col[7] = max(u, v), max(x, y)
+
+		// b0-b1 is the total LLR at 2x scale (it contains sys+apr+ext);
+		// subtracting 2*(sys+apr) leaves twice the extrinsic, and (3*e)>>3
+		// applies the 3/4 extrinsic scale while returning to 1x, saturated
+		// into int8 for the next apriori.
+		delta := b0 - b1
+		dec[t] = uint8(uint32(delta) >> 31)
+		ext[t] = int8(min(max(3*(delta-2*ls)>>3, -qAprMax), qAprMax))
+	}
+	storeNorm8(bOut, &slab[0])
 }
 
 // storeNorm8 writes a boundary column rescale-normalized: the column
 // maximum is subtracted so stored metrics are relative (<= 0) and bounded
 // by state-merge depth times the branch-metric scale, independent of how
 // far path metrics drifted inside the window.
-func storeNorm8(dst []int32, m0, m1, m2, m3, m4, m5, m6, m7 int32) {
-	norm := maxI32(maxI32(maxI32(m0, m1), maxI32(m2, m3)), maxI32(maxI32(m4, m5), maxI32(m6, m7)))
-	dst = dst[:nStates:nStates]
-	dst[0], dst[1], dst[2], dst[3] = m0-norm, m1-norm, m2-norm, m3-norm
-	dst[4], dst[5], dst[6], dst[7] = m4-norm, m5-norm, m6-norm, m7-norm
+func storeNorm8(dst []int32, m *[nStates]int32) {
+	norm := max(m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7])
+	dst = dst[:nStates]
+	for s, v := range m {
+		dst[s] = v - norm
+	}
 }
 
 // qTailBeta computes the exact beta at position k by stepping backward
@@ -378,88 +388,65 @@ func qTailBeta(tsys, tpar [3]int32) [nStates]int32 {
 // quantizeLLR rounds llr*scale to nearest into int8, saturating at
 // ±qAprMax; a NaN becomes 0, an erasure.
 func quantizeLLR(dst []int8, llr []float64, scale float64) {
+	dst = dst[:len(llr)]
 	for i, v := range llr {
 		dst[i] = int8(quantOne(v, scale))
 	}
 }
 
+// quantOne rounds half away from zero by adding a half that carries q's
+// sign — the sign of an LLR is a coin flip, so a branch on it mispredicts
+// every other soft bit.
 func quantOne(v, scale float64) int32 {
 	q := v * scale
-	if !(math.Abs(q) < qAprMax) {
-		// Saturated or NaN. Decided here, in float: converting either to
-		// int32 is platform-defined in Go (MinInt32 on amd64, so +Inf
-		// came out negative; 0 on arm64), and a hostile subframe must
-		// decode the same everywhere.
-		switch {
-		case q > 0:
-			return qAprMax
-		case q < 0:
-			return -qAprMax
-		}
-		return 0
+	if math.Abs(q) < qAprMax {
+		return int32(q + math.Copysign(0.5, q))
 	}
-	if q >= 0 {
-		return int32(q + 0.5)
-	}
-	return int32(q - 0.5)
-}
-
-func sat8(v int32) int8 {
-	if v > qAprMax {
+	// Saturated or NaN. Decided here, in float: converting either to
+	// int32 is platform-defined in Go (MinInt32 on amd64, so +Inf came out
+	// negative; 0 on arm64), and a hostile subframe must decode the same
+	// everywhere.
+	switch {
+	case q > 0:
 		return qAprMax
-	}
-	if v < -qAprMax {
+	case q < 0:
 		return -qAprMax
 	}
-	return int8(v)
+	return 0
+}
+
+// qConstituent is one constituent decoder's working set. Boundary-metric
+// arrays are double-buffered (prev is read, cur is written, swapped after
+// each half-iteration), with nw+1 boundary columns: index w is the metric
+// at trellis position w*qWindow (the last clamped to k).
+type qConstituent struct {
+	sys, par, apr, ext       []int8  // channel LLRs in trellis order, apriori in, extrinsic out
+	aPrev, aCur, bPrev, bCur []int32 // (nw+1) * nStates each
 }
 
 // qdecoderState holds the per-call working buffers for DecodeQuantIn.
-// Boundary-metric arrays are double-buffered per constituent decoder
-// (prev is read, cur is written, swapped after each half-iteration), with
-// nw+1 boundary columns: index w is the metric at trellis position
-// w*qWindow (the last clamped to k).
 type qdecoderState struct {
-	k, nw                   int
-	qsys, qp1, qp2, qsysIlv []int8
-	apr1, apr2, ext1, ext2  []int8
-	alpha                   []int32 // k * nStates column slab, shared by both decoders
-	a1p, a1c, b1p, b1c      []int32 // decoder 1 boundaries, (nw+1) * nStates each
-	a2p, a2c, b2p, b2c      []int32
-	t1sys, t1par            [3]int32
-	t2sys, t2par            [3]int32
+	k, nw int
+	dec   [2]qConstituent
 }
 
 // newQDecoderState carves the working buffers from ws (heap when nil).
-// All buffers come back zeroed — required: ext2 is read (as the initial
-// apriori) before the first half-iteration writes it, and zeroed interior
-// boundary columns are exactly the uniform first-iteration NII init.
+// All buffers come back zeroed — required: the second decoder's ext is
+// read (as the initial apriori) before the first half-iteration writes it,
+// and zeroed interior boundary columns are exactly the uniform
+// first-iteration NII init. It is a carve constructor: DecodeQuantIn's
+// caller holds the mark bounding the state's lifetime.
 //
-// the mark bounding the state's lifetime.
-//
-//ltephy:owns-scratch — carve constructor; DecodeQuantIn's caller holds
+//ltephy:owns-scratch
 func newQDecoderState(ws *workspace.Arena, k int) qdecoderState {
 	nw := (k + qWindow - 1) / qWindow
-	nb := (nw + 1) * nStates
-	return qdecoderState{
-		k:       k,
-		nw:      nw,
-		qsys:    ws.Int8(k),
-		qp1:     ws.Int8(k),
-		qp2:     ws.Int8(k),
-		qsysIlv: ws.Int8(k),
-		apr1:    ws.Int8(k),
-		apr2:    ws.Int8(k),
-		ext1:    ws.Int8(k),
-		ext2:    ws.Int8(k),
-		alpha:   ws.Int32(k * nStates),
-		a1p:     ws.Int32(nb),
-		a1c:     ws.Int32(nb),
-		b1p:     ws.Int32(nb),
-		b1c:     ws.Int32(nb),
-		a2p:     ws.Int32(nb),
-		a2c:     ws.Int32(nb),
-		b2p:     ws.Int32(nb),
-		b2c:     ws.Int32(nb),
+	d := qdecoderState{k: k, nw: nw}
+	for i := range d.dec {
+		d.dec[i] = qConstituent{
+			sys: ws.Int8(k), par: ws.Int8(k), apr: ws.Int8(k), ext: ws.Int8(k),
+			aPrev: ws.Int32((nw + 1) * nStates), aCur: ws.Int32((nw + 1) * nStates),
+			bPrev: ws.Int32((nw + 1) * nStates), bCur: ws.Int32((nw + 1) * nStates),
+		}
 	}
+	return d
 }

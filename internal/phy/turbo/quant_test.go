@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ltephy/internal/phy/workspace"
@@ -97,11 +98,7 @@ func TestQuantWindowDeterminism(t *testing.T) {
 	ref, refHalf := c.DecodeQuant(llr, DecodeOpts{Iterations: 6})
 
 	shims := map[string]Parallel{
-		"reverse": func(n int, fn func(int)) {
-			for i := n - 1; i >= 0; i-- {
-				fn(i)
-			}
-		},
+		"reverse": reverseOrder,
 		"goroutines": func(n int, fn func(int)) {
 			done := make(chan int)
 			for i := 0; i < n; i++ {
@@ -389,6 +386,326 @@ func TestQuantOneNonFinite(t *testing.T) {
 	} {
 		if got := quantOne(c.v, c.scale); got != c.want {
 			t.Errorf("quantOne(%g, %g) = %d, want %d", c.v, c.scale, got, c.want)
+		}
+	}
+}
+
+// The reference kernel: the window pass, saturation, normalisation and
+// rounding of the commit before the branch-free kernel, verbatim but for
+// the ref prefix. They are the oracle the kernel is bit-identical to; the
+// tests below hold it to that after every half-iteration.
+
+func refWindowPass(k int, slab []int32, w int, sys, par, apr, ext []int8, aPrev, aCur, bPrev, bCur []int32, cur []uint8, posMap []int32) {
+	lo := w * qWindow
+	hi := lo + qWindow
+	if hi > k {
+		hi = k
+	}
+
+	// Forward recursion from the previous-iteration in-boundary; column t
+	// (alpha before consuming symbol t) is stored for the backward pass.
+	ab := aPrev[w*nStates : (w+1)*nStates : (w+1)*nStates]
+	a0, a1, a2, a3 := ab[0], ab[1], ab[2], ab[3]
+	a4, a5, a6, a7 := ab[4], ab[5], ab[6], ab[7]
+	for t := lo; t < hi; t++ {
+		col := slab[t*nStates : t*nStates+nStates : t*nStates+nStates]
+		col[0], col[1], col[2], col[3] = a0, a1, a2, a3
+		col[4], col[5], col[6], col[7] = a4, a5, a6, a7
+		ls := int32(sys[t]) + int32(apr[t])
+		lp := int32(par[t])
+		p, q := ls+lp, ls-lp
+		a0, a1, a2, a3, a4, a5, a6, a7 =
+			maxI32(a0+p, a4-p), maxI32(a0-p, a4+p),
+			maxI32(a1+q, a5-q), maxI32(a1-q, a5+q),
+			maxI32(a2-q, a6+q), maxI32(a2+q, a6-q),
+			maxI32(a3-p, a7+p), maxI32(a3+p, a7-p)
+	}
+	refStoreNorm8(aCur[(w+1)*nStates:(w+2)*nStates], a0, a1, a2, a3, a4, a5, a6, a7)
+
+	// Backward recursion from the previous-iteration out-boundary, fused
+	// with extrinsic extraction and hard decisions. u_s/v_s are the
+	// bit-0/bit-1 branch totals beta[next]+gamma for state s: nb[s] =
+	// max(u_s, v_s), and joined with the stored alpha column they give
+	// the two path-metric maxima whose difference is the total LLR.
+	bb := bPrev[(w+1)*nStates : (w+2)*nStates : (w+2)*nStates]
+	n0, n1, n2, n3 := bb[0], bb[1], bb[2], bb[3]
+	n4, n5, n6, n7 := bb[4], bb[5], bb[6], bb[7]
+	for t := hi - 1; t >= lo; t-- {
+		col := slab[t*nStates : t*nStates+nStates : t*nStates+nStates]
+		ls := int32(sys[t]) + int32(apr[t])
+		lp := int32(par[t])
+		p, q := ls+lp, ls-lp
+
+		u0, v0 := n0+p, n1-p
+		u1, v1 := n2+q, n3-q
+		u2, v2 := n5+q, n4-q
+		u3, v3 := n7+p, n6-p
+		u4, v4 := n1+p, n0-p
+		u5, v5 := n3+q, n2-q
+		u6, v6 := n4+q, n5-q
+		u7, v7 := n6+p, n7-p
+
+		best0 := maxI32(maxI32(maxI32(col[0]+u0, col[1]+u1), maxI32(col[2]+u2, col[3]+u3)),
+			maxI32(maxI32(col[4]+u4, col[5]+u5), maxI32(col[6]+u6, col[7]+u7)))
+		best1 := maxI32(maxI32(maxI32(col[0]+v0, col[1]+v1), maxI32(col[2]+v2, col[3]+v3)),
+			maxI32(maxI32(col[4]+v4, col[5]+v5), maxI32(col[6]+v6, col[7]+v7)))
+
+		n0, n1, n2, n3 = maxI32(u0, v0), maxI32(u1, v1), maxI32(u2, v2), maxI32(u3, v3)
+		n4, n5, n6, n7 = maxI32(u4, v4), maxI32(u5, v5), maxI32(u6, v6), maxI32(u7, v7)
+
+		// best0-best1 is the total LLR at 2x scale (it contains
+		// sys+apr+ext); subtracting 2*(sys+apr) leaves twice the
+		// extrinsic, and (3*e)>>3 applies the 3/4 extrinsic scale while
+		// returning to 1x, saturated into int8 for the next apriori.
+		delta := best0 - best1
+		pos := t
+		if posMap != nil {
+			pos = int(posMap[t])
+		}
+		if delta < 0 {
+			cur[pos] = 1
+		} else {
+			cur[pos] = 0
+		}
+		e := delta - 2*ls
+		ext[t] = refSat8(3 * e >> 3)
+	}
+	refStoreNorm8(bCur[w*nStates:(w+1)*nStates], n0, n1, n2, n3, n4, n5, n6, n7)
+}
+
+func maxI32(a, b int32) int32 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func refStoreNorm8(dst []int32, m0, m1, m2, m3, m4, m5, m6, m7 int32) {
+	norm := maxI32(maxI32(maxI32(m0, m1), maxI32(m2, m3)), maxI32(maxI32(m4, m5), maxI32(m6, m7)))
+	dst = dst[:nStates:nStates]
+	dst[0], dst[1], dst[2], dst[3] = m0-norm, m1-norm, m2-norm, m3-norm
+	dst[4], dst[5], dst[6], dst[7] = m4-norm, m5-norm, m6-norm, m7-norm
+}
+
+func refQuantOne(v, scale float64) int32 {
+	q := v * scale
+	if !(math.Abs(q) < qAprMax) {
+		// Saturated or NaN. Decided here, in float: converting either to
+		// int32 is platform-defined in Go (MinInt32 on amd64, so +Inf
+		// came out negative; 0 on arm64), and a hostile subframe must
+		// decode the same everywhere.
+		switch {
+		case q > 0:
+			return qAprMax
+		case q < 0:
+			return -qAprMax
+		}
+		return 0
+	}
+	if q >= 0 {
+		return int32(q + 0.5)
+	}
+	return int32(q - 0.5)
+}
+
+func refSat8(v int32) int8 {
+	if v > qAprMax {
+		return qAprMax
+	}
+	if v < -qAprMax {
+		return -qAprMax
+	}
+	return int8(v)
+}
+
+// refLoad is load with the reference quantiser: a two-compare peak scan and
+// a rounding that branches on the sign.
+func refLoad(d *qdecoderState, c *Codec, llr []float64) {
+	d.load(c, llr)
+	maxAbs := 0.0
+	for _, v := range llr {
+		if v > maxAbs {
+			maxAbs = v
+		} else if -v > maxAbs {
+			maxAbs = -v
+		}
+	}
+	scale := 1.0
+	if maxAbs > 0 {
+		scale = qChanMax / maxAbs
+	}
+	k := d.k
+	for i, v := range llr[:k] {
+		d.dec[0].sys[i] = int8(refQuantOne(v, scale))
+		d.dec[0].par[i] = int8(refQuantOne(llr[k+i], scale))
+		d.dec[1].par[i] = int8(refQuantOne(llr[2*k+i], scale))
+	}
+	permute(d.dec[1].sys, d.dec[0].sys, c.il.perm)
+	for i := range d.dec {
+		var tsys, tpar [3]int32
+		for t := range tsys {
+			tsys[t] = refQuantOne(llr[3*k+6*i+2*t], scale)
+			tpar[t] = refQuantOne(llr[3*k+6*i+2*t+1], scale)
+		}
+		bt := qTailBeta(tsys, tpar)
+		copy(d.dec[i].bPrev[d.nw*nStates:], bt[:])
+		copy(d.dec[i].bCur[d.nw*nStates:], bt[:])
+	}
+}
+
+// refHalf is half with every window run by the reference kernel.
+func refHalf(d *qdecoderState, c *Codec, i int, cur []uint8) {
+	dc, order, posMap := &d.dec[i], c.il.inv, []int32(nil)
+	if i == 1 {
+		order, posMap = c.il.perm, c.il.perm
+	}
+	permute(dc.apr, d.dec[1-i].ext, order)
+	slab := make([]int32, d.k*nStates)
+	for w := 0; w < d.nw; w++ {
+		refWindowPass(d.k, slab, w, dc.sys, dc.par, dc.apr, dc.ext, dc.aPrev, dc.aCur, dc.bPrev, dc.bCur, cur, posMap)
+	}
+	dc.aPrev, dc.aCur = dc.aCur, dc.aPrev
+	dc.bPrev, dc.bCur = dc.bCur, dc.bPrev
+}
+
+// refDecodeQuant is DecodeQuantIn on the reference quantiser and kernel.
+func refDecodeQuant(c *Codec, llr []float64, opts DecodeOpts) ([]uint8, int) {
+	halfIters := 2 * max(opts.Iterations, 1)
+	d := newQDecoderState(nil, c.k)
+	refLoad(&d, c, llr)
+	cur, prev := make([]uint8, c.k), make([]uint8, c.k)
+	for h := 1; h <= halfIters; h++ {
+		refHalf(&d, c, (h-1)%2, cur)
+		if done, bits := qStop(cur, prev, h, opts); done {
+			return bits, h
+		}
+		cur, prev = prev, cur
+	}
+	return prev, halfIters
+}
+
+// reverseOrder is a Parallel that runs the windows last to first.
+func reverseOrder(n int, fn func(int)) {
+	for i := n - 1; i >= 0; i-- {
+		fn(i)
+	}
+}
+
+// diffQState names the first buffer in which two decoder states differ.
+func diffQState(a, b *qdecoderState) string {
+	for i := range a.dec {
+		x, y := &a.dec[i], &b.dec[i]
+		for _, f := range []struct {
+			name string
+			same bool
+		}{
+			{"sys", slices.Equal(x.sys, y.sys)}, {"par", slices.Equal(x.par, y.par)},
+			{"apr", slices.Equal(x.apr, y.apr)}, {"ext", slices.Equal(x.ext, y.ext)},
+			{"aPrev", slices.Equal(x.aPrev, y.aPrev)}, {"aCur", slices.Equal(x.aCur, y.aCur)},
+			{"bPrev", slices.Equal(x.bPrev, y.bPrev)}, {"bCur", slices.Equal(x.bCur, y.bCur)},
+		} {
+			if !f.same {
+				return fmt.Sprintf("decoder %d %s", i+1, f.name)
+			}
+		}
+	}
+	return ""
+}
+
+// TestWindowKernelMatchesReference is the kernel's contract: after every
+// half-iteration the decisions, the int8 extrinsics and all four
+// boundary-metric buffers equal the reference kernel's, serially and
+// through a Parallel that runs the windows in reverse, and a whole decode
+// returns the same bits after the same number of half-iterations. Sizes:
+// shorter than one window, a few windows, the fan-out threshold, a ragged
+// last window, exactly 48 windows.
+func TestWindowKernelMatchesReference(t *testing.T) {
+	const iters = 4
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, k := range []int{40, 512, 1024, 3136, 6144} {
+		c, err := NewCodec(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(k)))
+		coded := c.Encode(randBits(rng, k))
+		type input struct {
+			name string
+			llr  []float64
+		}
+		nonfin := awgnLLR(rng, coded, 1)
+		for i := range nonfin {
+			switch rng.Intn(16) {
+			case 0:
+				nonfin[i] = nan
+			case 1:
+				nonfin[i] = inf * float64(1-2*rng.Intn(2))
+			}
+		}
+		inputs := []input{
+			{"zero", make([]float64, len(coded))},
+			{"tiny", bitsToLLR(coded, 5e-324)}, // the scale overflows: every stream at +-qAprMax
+			{"nonfinite", nonfin},
+		}
+		for _, ebn0 := range []float64{-6, 0, 1, 2, 8} {
+			inputs = append(inputs, input{fmt.Sprintf("awgn%+gdB", ebn0), awgnLLR(rng, coded, ebn0)})
+		}
+		for _, in := range inputs {
+			for _, par := range []Parallel{nil, reverseOrder} {
+				name, llr := in.name, in.llr
+				t.Run(fmt.Sprintf("%s/%s/par=%v", sizeName(k), name, par != nil), func(t *testing.T) {
+					got, want := newQDecoderState(nil, k), newQDecoderState(nil, k)
+					got.load(c, llr)
+					refLoad(&want, c, llr)
+					if name == "tiny" {
+						// Saturate the apriori as well: the widest branch
+						// metrics the kernel can meet.
+						for i := range got.dec[1].ext {
+							got.dec[1].ext[i] = int8(qAprMax * (1 - 2*rng.Intn(2)))
+						}
+						copy(want.dec[1].ext, got.dec[1].ext)
+					}
+					if where := diffQState(&got, &want); where != "" {
+						t.Fatalf("after load: %s differs", where)
+					}
+					gotBits, wantBits := make([]uint8, k), make([]uint8, k)
+					for h := 0; h < 2*iters; h++ {
+						got.half(c, h%2, gotBits, par)
+						refHalf(&want, c, h%2, wantBits)
+						if !slices.Equal(gotBits, wantBits) {
+							t.Fatalf("half-iteration %d: decisions differ", h+1)
+						}
+						if where := diffQState(&got, &want); where != "" {
+							t.Fatalf("half-iteration %d: %s differs", h+1, where)
+						}
+					}
+					opts := DecodeOpts{Iterations: iters, Par: par}
+					gotBits, gotHalf := c.DecodeQuant(llr, opts)
+					wantBits, wantHalf := refDecodeQuant(c, llr, opts)
+					if gotHalf != wantHalf || !slices.Equal(gotBits, wantBits) {
+						t.Fatalf("decode: %d half-iterations, reference %d; bits equal: %v",
+							gotHalf, wantHalf, slices.Equal(gotBits, wantBits))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestQuantOneRounding pins the sign-carrying half against the rounding
+// that branched on the sign, where they could part: one ulp either side of
+// every half-integer tie and every integer in the int8 range.
+func TestQuantOneRounding(t *testing.T) {
+	for k := -128; k <= 128; k++ {
+		for _, half := range []float64{-0.5, 0, 0.5} {
+			x := float64(k) + half
+			for _, v := range []float64{math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1))} {
+				for _, scale := range []float64{1, 0.5, -1} {
+					if got, want := quantOne(v/scale, scale), refQuantOne(v/scale, scale); got != want {
+						t.Fatalf("quantOne(%g, %g) = %d, reference %d", v/scale, scale, got, want)
+					}
+				}
+			}
 		}
 	}
 }

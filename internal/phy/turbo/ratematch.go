@@ -48,6 +48,13 @@ type RateMatcher struct {
 	codeToW []int32
 	// wToCode[w] is the inverse (-1 for dummy padding positions).
 	wToCode []int32
+	// txCode is wToCode with the dummies removed: the mother-codeword bit
+	// behind each position the circular buffer actually transmits, in
+	// buffer order. txStart[rv] is the rank in it of redundancy version
+	// rv's offset k0, so a transmission is a straight walk of txCode from
+	// there, wrapping at its end.
+	txCode  []int32
+	txStart [MaxRVs]int
 }
 
 // rmCache is RWMutex-guarded (not a sync.Map) so cache hits don't box the
@@ -85,9 +92,10 @@ func NewRateMatcher(k int) (*RateMatcher, error) {
 	return rm, nil
 }
 
-// once per block size for the process lifetime.
+// buildRateMatcher constructs the permutation tables; NewRateMatcher caches
+// them in rmCache, so it runs once per block size for the process lifetime.
 //
-//ltephy:coldpath — permutation-table construction, cached in rmCache; runs
+//ltephy:coldpath
 func buildRateMatcher(k int) *RateMatcher {
 	d := k + 4
 	rows := (d + subBlockColumns - 1) / subBlockColumns
@@ -160,19 +168,41 @@ func buildRateMatcher(k int) *RateMatcher {
 		rm.codeToW[code2] = int32(w2)
 		rm.wToCode[w2] = code2
 	}
+	rm.txCode = make([]int32, 0, CodedLen(k))
+	var k0 [MaxRVs]int
+	for rv := range k0 {
+		k0[rv] = rm.rvOffset(rv)
+	}
+	for w, code := range rm.wToCode {
+		if code < 0 {
+			continue
+		}
+		for rv, start := range k0 {
+			if w < start {
+				rm.txStart[rv]++
+			}
+		}
+		rm.txCode = append(rm.txCode, code)
+	}
 	return rm
 }
 
 // BufferLen returns the circular buffer length K_w.
 func (rm *RateMatcher) BufferLen() int { return rm.kw }
 
-// rvOffset returns the starting position k0 for a redundancy version.
+// rvOffset returns the starting position k0 < K_w for a redundancy version.
 func (rm *RateMatcher) rvOffset(rv int) int {
+	// 36.212: k0 = R * (2*ceil(Ncb/(8R))*rv + 2), with Ncb = Kw here.
+	return rm.rows * (2*int(math.Ceil(float64(rm.kw)/(8*float64(rm.rows))))*rv + 2)
+}
+
+// txFrom returns the transmitted code indices from redundancy version rv's
+// start to the end of the circular buffer; the walk continues at txCode[0].
+func (rm *RateMatcher) txFrom(rv int) []int32 {
 	if rv < 0 || rv >= MaxRVs {
 		panic(fmt.Sprintf("turbo: redundancy version %d outside [0,%d)", rv, MaxRVs))
 	}
-	// 36.212: k0 = R * (2*ceil(Ncb/(8R))*rv + 2), with Ncb = Kw here.
-	return rm.rows * (2*int(math.Ceil(float64(rm.kw)/(8*float64(rm.rows))))*rv + 2)
+	return rm.txCode[rm.txStart[rv]:]
 }
 
 // Match produces e output bits from a mother codeword (Encode layout).
@@ -184,12 +214,10 @@ func (rm *RateMatcher) Match(code []uint8, e, rv int) []uint8 {
 		panic(fmt.Sprintf("turbo: rate match to %d bits", e))
 	}
 	out := make([]uint8, 0, e)
-	pos := rm.rvOffset(rv)
-	for len(out) < e {
-		if c := rm.wToCode[pos%rm.kw]; c >= 0 {
+	for run := rm.txFrom(rv); len(out) < e; run = rm.txCode {
+		for _, c := range run[:min(len(run), e-len(out))] {
 			out = append(out, code[c])
 		}
-		pos++
 	}
 	return out
 }
@@ -202,14 +230,12 @@ func (rm *RateMatcher) Accumulate(dst []float64, llr []float64, rv int) {
 	if len(dst) != CodedLen(rm.k) {
 		panic(fmt.Sprintf("turbo: accumulate dst has %d entries, want %d", len(dst), CodedLen(rm.k)))
 	}
-	pos := rm.rvOffset(rv)
-	used := 0
-	for used < len(llr) {
-		if c := rm.wToCode[pos%rm.kw]; c >= 0 {
-			dst[c] += llr[used]
-			used++
+	for run := rm.txFrom(rv); len(llr) > 0; run = rm.txCode {
+		n := min(len(run), len(llr))
+		for i, c := range run[:n] {
+			dst[c] += llr[i]
 		}
-		pos++
+		llr = llr[n:]
 	}
 }
 

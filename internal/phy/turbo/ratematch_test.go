@@ -316,3 +316,49 @@ func BenchmarkDeRateMatch(b *testing.B) {
 		rm.Accumulate(dst, llr, 0)
 	}
 }
+
+// refAccumulate is Accumulate as it was before the dummy-free walk: one
+// modulo and one dummy test per circular-buffer position.
+func refAccumulate(rm *RateMatcher, dst, llr []float64, rv int) {
+	pos := rm.rvOffset(rv)
+	used := 0
+	for used < len(llr) {
+		if c := rm.wToCode[pos%rm.kw]; c >= 0 {
+			dst[c] += llr[used]
+			used++
+		}
+		pos++
+	}
+}
+
+// TestAccumulateMatchesReference holds the straight-line walk to the same
+// float64 additions in the same order: mother buffers equal bit for bit
+// for every redundancy version, punctured (e < K_w), repeated (e > 2 K_w)
+// and with a second version accumulated onto the first, as HARQ does.
+func TestAccumulateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, k := range []int{40, 104, 512, 6144} {
+		rm, err := NewRateMatcher(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []int{1, k, rm.kw - 1, CodedLen(k), rm.kw + 7, 2*rm.kw + 13} {
+			for rv := 0; rv < MaxRVs; rv++ {
+				got, want := make([]float64, CodedLen(k)), make([]float64, CodedLen(k))
+				for _, v := range []int{rv, (rv + 2) % MaxRVs} {
+					llr := make([]float64, e)
+					for i := range llr {
+						llr[i] = rng.NormFloat64() * math.Exp(8*rng.Float64())
+					}
+					rm.Accumulate(got, llr, v)
+					refAccumulate(rm, want, llr, v)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("K=%d e=%d rv=%d onto %d: mother[%d] = %v, reference %v", k, e, v, rv, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -597,10 +598,17 @@ func TestNativeNapPowerSavings(t *testing.T) {
 // TestNativeWorkloadScaling is Fig. 11 in miniature on the real runtime:
 // measured busy time grows roughly linearly with the PRB allocation —
 // the property the paper's workload estimator is built on, here verified
-// against actual DSP execution rather than the simulator. Host timing is
-// noisy, so the bounds are generous.
+// against actual DSP execution rather than the simulator.
+//
+// The statistic is the minimum busy time over 12 subframes, not their
+// mean. The claim is about work — the instructions a subframe of that size
+// costs — and BusyNanos is wall time inside tasks, so anything the host
+// does to a worker mid-task (a preemption, a neighbour's cache traffic)
+// only ever adds to it. One preemption inside a ~100 us subframe multiplies
+// a 12-subframe mean several times over; the fastest of the 12 is the one
+// the host left alone, and it is the work.
 func TestNativeWorkloadScaling(t *testing.T) {
-	busyFor := func(prb int) float64 {
+	busyFor := func(prb int) int64 {
 		cfg := DefaultPoolConfig()
 		cfg.Workers = 2
 		pool, err := NewPool(cfg)
@@ -616,28 +624,28 @@ func TestNativeWorkloadScaling(t *testing.T) {
 		}
 		// Warm caches (FFT plans, interleavers) before measuring.
 		pool.ProcessSubframe(sf)
-		before := pool.Stats()
-		const reps = 12
-		for i := 0; i < reps; i++ {
+		least := int64(math.MaxInt64)
+		for rep := 0; rep < 12; rep++ {
+			before := pool.Stats()
 			pool.ProcessSubframe(sf)
+			var busy int64
+			for i, after := range pool.Stats() {
+				busy += after.BusyNanos - before[i].BusyNanos
+			}
+			least = min(least, busy)
 		}
-		after := pool.Stats()
-		var busy int64
-		for i := range after {
-			busy += after[i].BusyNanos - before[i].BusyNanos
-		}
-		return float64(busy) / reps
+		return least
 	}
 	small := busyFor(4)
 	large := busyFor(16)
 	if small <= 0 || large <= 0 {
-		t.Fatalf("busy times not positive: %g, %g", small, large)
+		t.Fatalf("busy times not positive: %d, %d", small, large)
 	}
-	ratio := large / small
+	ratio := float64(large) / float64(small)
 	// 4x the PRBs: expect roughly 4x the work (FFT log factors and fixed
-	// overheads bend it; host jitter widens it further).
+	// overheads bend it).
 	if ratio < 2 || ratio > 8 {
-		t.Errorf("busy(16 PRB)/busy(4 PRB) = %.2f, want roughly linear (~4)", ratio)
+		t.Errorf("least busy(16 PRB)/busy(4 PRB) = %.2f, want roughly linear (~4)", ratio)
 	}
 }
 
