@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-lane bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke benchmark-smoke print-govulncheck-version
+.PHONY: check vet lint build loc test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-lane bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke benchmark-smoke print-govulncheck-version
 
 check: lint build race zeroalloc obs-overhead fft-sweep kpi-smoke
 	$(GO) test ./...
@@ -39,6 +39,15 @@ print-govulncheck-version:
 
 build:
 	$(GO) build ./...
+
+# Go line counts as `go list` sees them, every package (benchmark/
+# included): non-test files (GoFiles) and test files (TestGoFiles plus
+# XTestGoFiles).
+loc:
+	@$(GO) list -f '{{$$d:=.Dir}}{{range .GoFiles}}{{$$d}}/{{.}}{{"\n"}}{{end}}' ./... | \
+		xargs cat | wc -l | xargs printf 'non-test %s\n'
+	@$(GO) list -f '{{$$d:=.Dir}}{{range .TestGoFiles}}{{$$d}}/{{.}}{{"\n"}}{{end}}{{range .XTestGoFiles}}{{$$d}}/{{.}}{{"\n"}}{{end}}' ./... | \
+		xargs cat | wc -l | xargs printf 'test     %s\n'
 
 test:
 	$(GO) test ./...
@@ -115,7 +124,7 @@ bench-compare:
 
 # Short fuzz pass over every fuzz target (~10s each): CRC append/check,
 # turbo segmentation and rate-matching round trips, the int8 decoder
-# against the float64 oracle, the FFT
+# against the float64 oracle kept in its tests, the FFT
 # forward/inverse round trip, and the front-haul frame decoder against
 # adversarial wire bytes. `go test -fuzz` takes one target per run,
 # hence the separate invocations.
@@ -130,8 +139,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/fronthaul/
 
 # Serving-layer smoke: lte-enb on a Unix socket, 2000 subframes per cell
-# at 2x real time through the loopback generator, asserting zero wire
-# corruption and a non-zero accepted count. CI's serve-smoke job runs this.
+# at 2x real time through the wire generator (lte-bench -loopback),
+# asserting zero wire corruption and every subframe served. CI's
+# serve-smoke job runs this.
 serve-smoke:
 	@rm -rf bin/smoke && mkdir -p bin/smoke
 	$(GO) build -o bin/smoke/ ./cmd/lte-enb ./cmd/lte-bench

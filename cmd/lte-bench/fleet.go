@@ -16,10 +16,10 @@ import (
 
 // fleetRun carries the -fleet mode knobs from the flag set.
 type fleetRun struct {
-	Procs     int     // worker processes
-	Cells     int     // fleet-wide cells
-	Subframes int     // sequences per cell
-	Workers   int     // scheduler workers per worker process
+	Procs     int // worker processes
+	Cells     int // fleet-wide cells
+	Subframes int // sequences per cell
+	Workers   int // scheduler workers per worker process
 	Delta     time.Duration
 	Capacity  float64
 	Load      float64
@@ -146,15 +146,17 @@ func runFleet(w io.Writer, r fleetRun) error {
 	start := time.Now()
 	stats, err := fleet.RunHarness(fleet.HarnessConfig{
 		Coordinator:     co,
-		Cells:           r.Cells,
-		Subframes:       r.Subframes,
-		Load:            r.Load,
 		SubframesPerDay: r.Day,
-		Seed:            r.Seed,
-		MaxPRB:          r.MaxPRB,
-		DTXProb:         r.DTXProb,
-		TX:              r.TX,
-		OnSeq:           onSeq,
+		GenConfig: fronthaul.GenConfig{
+			Cells:     r.Cells,
+			Subframes: r.Subframes,
+			Load:      r.Load,
+			Seed:      r.Seed,
+			MaxPRB:    r.MaxPRB,
+			DTXProb:   r.DTXProb,
+			TX:        r.TX,
+			OnSeq:     onSeq,
+		},
 	})
 	elapsed := time.Since(start)
 	if err != nil {
@@ -164,6 +166,7 @@ func runFleet(w io.Writer, r fleetRun) error {
 	fmt.Fprintf(w, "fleet: %d procs x %d cells x %d subframes in %v\n",
 		r.Procs, r.Cells, r.Subframes, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "fleet: %s\n", stats)
+	fmt.Fprintf(w, "fleet: %s\n", stats.Rollup())
 	epoch := co.Placement().Epoch
 	fmt.Fprintf(w, "fleet: placement epoch %d\n", epoch)
 
@@ -186,7 +189,7 @@ func runFleet(w io.Writer, r fleetRun) error {
 		if stats.BadAcks != 0 {
 			return fmt.Errorf("fleet: %d bad acks", stats.BadAcks)
 		}
-		if got := stats.Done + stats.ShedOverload + stats.ShedBackpressure + stats.Duplicate; got != stats.Sent {
+		if got := stats.Done + stats.ShedFrames() + stats.Duplicate; got != stats.Sent {
 			return fmt.Errorf("fleet: terminal acks %d != sent %d", got, stats.Sent)
 		}
 		total := stats.Fleet.Total

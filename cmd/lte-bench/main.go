@@ -34,7 +34,6 @@ import (
 	"ltephy/internal/obs"
 	"ltephy/internal/params"
 	"ltephy/internal/phy/fft"
-	phyturbo "ltephy/internal/phy/turbo"
 	"ltephy/internal/phy/workspace"
 	"ltephy/internal/power"
 	"ltephy/internal/sched"
@@ -62,14 +61,12 @@ func run(args []string, w io.Writer) error {
 	napOnIdle := fs.Bool("idle-nap", false, "reactive policy: nap workers that find no work")
 	turbo := fs.String("turbo", "passthrough", "turbo mode: passthrough (paper) or full")
 	turboIter := fs.Int("turbo-iter", 0, "max full turbo iterations per code block (0 = receiver default); CRC-gated early stop usually finishes sooner")
-	turboKernel := fs.String("turbo-kernel", "int8", "full-turbo decoder kernel: int8 (line-rate) or float64 (oracle)")
 	rate := fs.Float64("rate", 0, "code rate for rate-matched full-turbo mode (0 = mother rate + padding)")
 	combiner := fs.String("combiner", "mmse", "antenna combiner: mmse, zf or mrc")
 	precision := fs.String("precision", "complex128", "kernel precision: complex128 or float32 (split-plane lane layout)")
 	chanest := fs.String("chanest", "windowed", "channel estimator: windowed (paper) or ls")
 	scramble := fs.Bool("scramble", false, "enable Gold-sequence bit scrambling")
 	noiseEst := fs.Bool("noise-est", false, "estimate noise variance at the receiver (no genie)")
-	lockFree := fs.Bool("lockfree", false, "use the Chase-Lev lock-free deque")
 	frontendPath := fs.Bool("frontend", false, "route signals through the Fig. 2 OFDM frontend")
 	allocs := fs.Bool("allocs", false, "report heap allocations per subframe (runtime.MemStats deltas over the run)")
 	verify := fs.Bool("verify", false, "run serial vs parallel verification instead of a timed run")
@@ -119,13 +116,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *turboIter > 0 {
 		rc.TurboIterations = *turboIter
-	}
-	switch *turboKernel {
-	case "int8":
-	case "float64":
-		rc.TurboKernel = phyturbo.KernelFloat64
-	default:
-		return fmt.Errorf("unknown turbo kernel %q", *turboKernel)
 	}
 	rc.CodeRate = *rate
 	switch *combiner {
@@ -200,9 +190,8 @@ func run(args []string, w io.Writer) error {
 		txCfg.SNRdB = *snr
 		txCfg.ThroughFrontend = *frontendPath
 		start := time.Now()
-		stats, err := fronthaul.RunLoopback(fronthaul.GenConfig{
-			Network:   *network,
-			Addr:      *loopback,
+		stats, err := fronthaul.Generate(fronthaul.GenConfig{
+			Resolve:   fronthaul.Addr(*network, *loopback),
 			Cells:     *cells,
 			Subframes: *subframes,
 			Interval:  interval,
@@ -265,7 +254,6 @@ func run(args []string, w io.Writer) error {
 	poolCfg.Workers = *workers
 	poolCfg.Receiver = rc
 	poolCfg.NapOnIdle = *napOnIdle
-	poolCfg.LockFreeDeque = *lockFree
 	poolCfg.Seed = *seed
 
 	if *verify {

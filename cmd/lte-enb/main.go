@@ -11,7 +11,7 @@
 //	lte-enb -listen /tmp/enb.sock -network unix -capacity 0.8
 //	lte-enb -listen :5061 -metrics-addr :9100   # Prometheus + Chrome traces
 //
-// Drive it with the loopback generator:
+// Drive it with the wire generator (lte-bench -loopback):
 //
 //	lte-bench -loopback :5061 -cells 4 -subframes 2000 -speedup 2
 //
@@ -73,7 +73,6 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 	shedBackpressure := fs.Bool("shed-backpressure", false, "shed frames when no decode slot is free instead of blocking the read loop")
 	turbo := fs.String("turbo", "passthrough", "turbo mode: passthrough (paper) or full")
 	turboIter := fs.Int("turbo-iter", 0, "max full turbo iterations per code block (0 = receiver default)")
-	lockFree := fs.Bool("lockfree", false, "use the Chase-Lev lock-free deque")
 	obsSampling := fs.Int("obs", 0, "telemetry sampling knob for the pools (0 = off)")
 	kpiSampling := fs.Int("kpi", 1, "KPI accounting knob: 1 = count every block outcome, 0 = off")
 	kpiWindows := fs.String("kpi-windows", "", "comma-separated KPI window lengths in subframes (default 200,1000,10000)")
@@ -141,7 +140,6 @@ func run(args []string, w io.Writer, stop <-chan struct{}) error {
 		KPISampling:        *kpiSampling,
 		KPIWindows:         windows,
 		Seed:               *seed,
-		LockFreeDeque:      *lockFree,
 	})
 	if err != nil {
 		return err

@@ -16,7 +16,7 @@ import (
 )
 
 // TestServeLoopback brings the daemon up on a Unix socket, drives it with
-// the loopback generator, stops it and checks the serving summary.
+// the wire generator, stops it and checks the serving summary.
 func TestServeLoopback(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "enb.sock")
 	var buf bytes.Buffer
@@ -51,11 +51,11 @@ func TestServeLoopback(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	stats, err := fronthaul.RunLoopback(fronthaul.GenConfig{
-		Network: "unix", Addr: sock, Cells: 2, Subframes: 10, Seed: 3, MaxPRB: 2,
+	stats, err := fronthaul.Generate(fronthaul.GenConfig{
+		Resolve: fronthaul.Addr("unix", sock), Cells: 2, Subframes: 10, Seed: 3, MaxPRB: 2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	if stats.Done != 20 || stats.BadAcks != 0 {
 		t.Fatalf("loopback stats: %s", stats)

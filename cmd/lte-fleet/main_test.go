@@ -38,7 +38,7 @@ func buildEnb(t *testing.T) string {
 }
 
 // TestFleetDaemonExec spawns real lte-enb processes under the daemon,
-// drives traffic through the process fleet with the loopback generator,
+// drives traffic through the process fleet with the wire generator,
 // and checks the daemon's status report and clean shutdown.
 func TestFleetDaemonExec(t *testing.T) {
 	if testing.Short() {
@@ -85,11 +85,11 @@ func TestFleetDaemonExec(t *testing.T) {
 	if err := readPorts(filepath.Join(m[1], "worker0.ports"), &pf); err != nil {
 		t.Fatalf("read ports: %v", err)
 	}
-	stats, err := fronthaul.RunLoopback(fronthaul.GenConfig{
-		Network: "tcp", Addr: pf.Data, Cells: 2, Subframes: 10, Seed: 3, MaxPRB: 2,
+	stats, err := fronthaul.Generate(fronthaul.GenConfig{
+		Resolve: fronthaul.Addr("tcp", pf.Data), Cells: 2, Subframes: 10, Seed: 3, MaxPRB: 2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	if stats.Done != 20 || stats.BadAcks != 0 {
 		t.Fatalf("loopback through the process fleet: %s", stats)

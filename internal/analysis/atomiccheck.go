@@ -10,7 +10,7 @@ import (
 // field that is anywhere accessed through sync/atomic functions
 // (atomic.LoadInt64(&d.top), ...) must be accessed that way everywhere —
 // a plain read or write of the same field races with the atomic users
-// (the Chase-Lev deque's top/bottom discipline). Fields of the typed
+// (the top/bottom discipline of a lock-free deque). Fields of the typed
 // atomic.Int64/Pointer family are immune by construction; this analyzer
 // exists so a refactor back to plain fields plus call-site atomics
 // cannot silently mix in unsynchronised accesses. Functions annotated

@@ -9,7 +9,7 @@ import (
 // SpawnCheck enforces the goroutine lifecycle discipline in the
 // scheduler and fronthaul layers: every `go` statement must sit inside a
 // function annotated //ltephy:spawn-point (the audited lifecycle points
-// — pool construction, the accept loop, the loopback harness), and every
+// — pool construction, the accept loop, the wire generator), and every
 // spawn must carry a provable join so no goroutine outlives its owner:
 //
 //   - a WaitGroup bracket: wg.Add(...) before the `go` statement in the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -88,16 +89,15 @@ func TestFleetHarnessExactlyOnce(t *testing.T) {
 		}
 	}
 
-	stats, err := RunHarness(HarnessConfig{
-		Coordinator: co,
-		Cells:       cells,
-		Subframes:   subframes,
-		Load:        1.5,
-		Seed:        7,
-		MaxPRB:      2,
-		DTXProb:     0.1,
-		OnSeq:       onSeq,
-	})
+	stats, err := RunHarness(HarnessConfig{Coordinator: co, GenConfig: fronthaul.GenConfig{
+		Cells:     cells,
+		Subframes: subframes,
+		Load:      1.5,
+		Seed:      7,
+		MaxPRB:    2,
+		DTXProb:   0.1,
+		OnSeq:     onSeq,
+	}})
 	if err != nil {
 		t.Fatalf("RunHarness: %v\n%s", err, stats)
 	}
@@ -112,7 +112,7 @@ func TestFleetHarnessExactlyOnce(t *testing.T) {
 	if want := int64(cells * subframes); stats.Sent != want {
 		t.Fatalf("sent %d subframes, want %d", stats.Sent, want)
 	}
-	if stats.Done+stats.ShedOverload+stats.ShedBackpressure+stats.Duplicate != stats.Sent {
+	if stats.Done+stats.ShedFrames()+stats.Duplicate != stats.Sent || stats.Acked != stats.Sent {
 		t.Fatalf("terminal acks do not cover every subframe: %s", stats)
 	}
 	// The crash forces reconnects and replays; the drained source forces
@@ -141,8 +141,8 @@ func TestFleetHarnessExactlyOnce(t *testing.T) {
 		t.Fatalf("placement epoch never advanced")
 	}
 
-	// The summary line carries the fields the CI smoke job greps.
-	line := stats.String()
+	// The summary lines carry the fields the CI smoke job greps.
+	line := stats.String() + " " + stats.Rollup()
 	for _, key := range []string{"sent=", "lost=", "kpi_total=", "predicted_shed=", "measured_shed=", "p999="} {
 		if !strings.Contains(line, key) {
 			t.Fatalf("summary line missing %q: %s", key, line)
@@ -155,15 +155,14 @@ func TestFleetHarnessExactlyOnce(t *testing.T) {
 func TestFleetHarnessDeterministicDelivery(t *testing.T) {
 	run := func() HarnessStats {
 		co := newTestFleet(t, 2, 4, Config{})
-		stats, err := RunHarness(HarnessConfig{
-			Coordinator: co,
-			Cells:       4,
-			Subframes:   30,
-			Load:        1,
-			Seed:        11,
-			MaxPRB:      2,
-			DTXProb:     0.2,
-		})
+		stats, err := RunHarness(HarnessConfig{Coordinator: co, GenConfig: fronthaul.GenConfig{
+			Cells:     4,
+			Subframes: 30,
+			Load:      1,
+			Seed:      11,
+			MaxPRB:    2,
+			DTXProb:   0.2,
+		}})
 		if err != nil {
 			t.Fatalf("RunHarness: %v", err)
 		}
@@ -206,16 +205,15 @@ func TestCheckpointLoopDuringMigration(t *testing.T) {
 			t.Errorf("Migrate(2, %d) at seq %d: %v", to, seq, err)
 		}
 	}
-	stats, err := RunHarness(HarnessConfig{
-		Coordinator: co,
-		Cells:       cells,
-		Subframes:   subframes,
-		Load:        1.5,
-		Seed:        13,
-		MaxPRB:      2,
-		DTXProb:     0.1,
-		OnSeq:       onSeq,
-	})
+	stats, err := RunHarness(HarnessConfig{Coordinator: co, GenConfig: fronthaul.GenConfig{
+		Cells:     cells,
+		Subframes: subframes,
+		Load:      1.5,
+		Seed:      13,
+		MaxPRB:    2,
+		DTXProb:   0.1,
+		OnSeq:     onSeq,
+	}})
 	if err != nil {
 		t.Fatalf("RunHarness: %v\n%s", err, stats)
 	}
@@ -354,14 +352,13 @@ func TestRebalanceOnceMoves(t *testing.T) {
 		t.Fatalf("Migrate(1, 0): %v", err)
 	}
 	// Offer traffic so the scraped activity is nonzero.
-	stats, err := RunHarness(HarnessConfig{
-		Coordinator: co,
-		Cells:       2,
-		Subframes:   20,
-		Load:        1,
-		Seed:        3,
-		MaxPRB:      2,
-	})
+	stats, err := RunHarness(HarnessConfig{Coordinator: co, GenConfig: fronthaul.GenConfig{
+		Cells:     2,
+		Subframes: 20,
+		Load:      1,
+		Seed:      3,
+		MaxPRB:    2,
+	}})
 	if err != nil {
 		t.Fatalf("RunHarness: %v", err)
 	}
@@ -391,43 +388,121 @@ func (w sinkWorker) FetchURL() string              { return "" }
 func (w sinkWorker) Done() <-chan struct{}         { return nil }
 func (w sinkWorker) Kill()                         {}
 
+// readFrame reads one whole wire frame and returns its bytes and sequence.
+func readFrame(r io.Reader) ([]byte, int64, error) {
+	var hdr [fronthaul.FrameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, 0, err
+	}
+	h, err := fronthaul.ParseHeader(&hdr, fronthaul.MaxUsersPerFrame, fronthaul.DefaultMaxPayload)
+	if err != nil {
+		return nil, 0, err
+	}
+	frame := make([]byte, fronthaul.FrameHeaderLen+int(h.PayloadLen)+fronthaul.TrailerLen)
+	copy(frame, hdr[:])
+	_, err = io.ReadFull(r, frame[fronthaul.FrameHeaderLen:])
+	return frame, h.Seq, err
+}
+
+func writeAck(w io.Writer, status uint8, seq int64) error {
+	var b [fronthaul.AckLen]byte
+	fronthaul.PutAck(&b, fronthaul.Ack{Status: status, Seq: seq})
+	_, err := w.Write(b[:])
+	return err
+}
+
 // TestWriteAfterReconnectSendsOnce pins the generator's write contract: a
-// frame is entered into the replay ring before write is called, so when
-// write has to (re)connect, the reconnect's replay of the ring already
-// carries it and write must not send it a second time. The copy's
+// frame is entered into the replay ring before it is sent, so when the
+// send has to reconnect, the reconnect's replay of the ring already
+// carries it and the send must not write it a second time. The copy's
 // immediate AckDuplicate would otherwise race the original's AckDone for
-// which of the two the generator counts.
+// which of the two the generator counts. With nothing stable, the ring
+// still holds frames 0 and 1 after their acks when the first connection
+// ends; frame 2 then goes out through the reconnect alone.
 func TestWriteAfterReconnectSendsOnce(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	received := make(chan []byte, 1)
+	// The sink, one connection after the other: ack frames 0 and 1 on the
+	// first, then hang up; on the second record every frame until the
+	// generator hangs up, answering the replays as a restored server would.
+	type sunk struct {
+		first, second [][]byte
+		seqs          []int64
+	}
+	done := make(chan sunk, 1)
 	go func() {
+		var got sunk
+		defer func() { done <- got }()
 		conn, err := ln.Accept()
 		if err != nil {
-			received <- nil
+			return
+		}
+		for seq := int64(0); seq < 2; seq++ {
+			frame, s, err := readFrame(conn)
+			if err != nil || s != seq || writeAck(conn, fronthaul.AckDone, seq) != nil {
+				break
+			}
+			got.first = append(got.first, frame)
+		}
+		conn.Close()
+		if conn, err = ln.Accept(); err != nil {
 			return
 		}
 		defer conn.Close()
-		b, _ := io.ReadAll(conn)
-		received <- b
+		for {
+			frame, seq, err := readFrame(conn)
+			if err != nil {
+				return
+			}
+			got.seqs = append(got.seqs, seq)
+			got.second = append(got.second, frame)
+			status := fronthaul.AckDuplicate
+			if seq == 2 {
+				status = fronthaul.AckDone
+			}
+			if writeAck(conn, status, seq) != nil {
+				return
+			}
+		}
 	}()
 	co := &Coordinator{
 		placement: Placement{Owner: []int{0}},
 		workers:   []*workerState{{w: sinkWorker{"tcp", ln.Addr().String()}}},
 	}
-	frames := map[int64][]byte{0: []byte("frame-0;"), 1: []byte("frame-1;"), 2: []byte("frame-2;")}
-	g := &cellHarness{cfg: HarnessConfig{Coordinator: co}, frames: frames}
-	if err := g.write(frames[2], time.Now().Add(5*time.Second)); err != nil {
-		t.Fatalf("write: %v", err)
+	stats, err := fronthaul.Generate(fronthaul.GenConfig{
+		Resolve: func(cell int) (string, string, error) {
+			network, addr, _, err := co.Resolve(cell)
+			return network, addr, err
+		},
+		Stable:    co.StableSeq,
+		Cells:     1,
+		Subframes: 3,
+		Interval:  100 * time.Millisecond,
+		Seed:      1,
+		MaxPRB:    2,
+	})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
 	}
-	g.dropConn() // EOF for the sink
-	if got, want := <-received, []byte("frame-0;frame-1;frame-2;"); !bytes.Equal(got, want) {
-		t.Errorf("sink received %q, want the ring once, in order: %q", got, want)
+	got := <-done
+	if len(got.first) != 2 {
+		t.Fatalf("first connection carried %d frames, want 2", len(got.first))
 	}
-	if g.stats.Reconnects != 1 || g.stats.Replayed != 3 {
-		t.Errorf("reconnects = %d, replayed = %d, want 1 and 3", g.stats.Reconnects, g.stats.Replayed)
+	if !slices.Equal(got.seqs, []int64{0, 1, 2}) {
+		t.Fatalf("second connection carried sequences %v, want the ring once, in order: [0 1 2]", got.seqs)
+	}
+	for i := range got.first {
+		if !bytes.Equal(got.second[i], got.first[i]) {
+			t.Errorf("replay of frame %d differs from its first transmission", i)
+		}
+	}
+	if stats.Reconnects != 1 || stats.Replayed != 3 {
+		t.Errorf("reconnects = %d, replayed = %d, want 1 and 3", stats.Reconnects, stats.Replayed)
+	}
+	if stats.Sent != 3 || stats.Done != 3 || stats.Duplicate != 0 || stats.Lost != 0 {
+		t.Errorf("first terminal ack per sequence must win: %s", stats)
 	}
 }

@@ -37,9 +37,8 @@ func TestKPILoopbackNominalWithDTX(t *testing.T) {
 		KPIWindows:     []int64{8},
 		Seed:           7,
 	})
-	stats, err := RunLoopback(GenConfig{
-		Network:   "tcp",
-		Addr:      addr,
+	stats, err := Generate(GenConfig{
+		Resolve:   Addr("tcp", addr),
 		Cells:     1,
 		Subframes: subframes,
 		Load:      1,
@@ -48,7 +47,7 @@ func TestKPILoopbackNominalWithDTX(t *testing.T) {
 		DTXProb:   0.3,
 	})
 	if err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	if stats.UsersDTX == 0 {
 		t.Fatal("generator flagged no DTX users; DTXProb not exercised")
@@ -105,9 +104,8 @@ func TestKPISkippedReconcilesWithRejected(t *testing.T) {
 		KPISampling:    1,
 		Seed:           11,
 	})
-	stats, err := RunLoopback(GenConfig{
-		Network:   "tcp",
-		Addr:      addr,
+	stats, err := Generate(GenConfig{
+		Resolve:   Addr("tcp", addr),
 		Cells:     1,
 		Subframes: 80,
 		Load:      4,
@@ -115,7 +113,7 @@ func TestKPISkippedReconcilesWithRejected(t *testing.T) {
 		MaxPRB:    2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	st := srv.CellStats(0)
 	if st.UsersRejected == 0 {
@@ -150,10 +148,10 @@ func TestKPIEndpointAndPrometheus(t *testing.T) {
 		KPISampling:    1,
 		Seed:           3,
 	})
-	if _, err := RunLoopback(GenConfig{
-		Network: "tcp", Addr: addr, Cells: 1, Subframes: 10, Load: 1, Seed: 3, MaxPRB: 2,
+	if _, err := Generate(GenConfig{
+		Resolve: Addr("tcp", addr), Cells: 1, Subframes: 10, Load: 1, Seed: 3, MaxPRB: 2,
 	}); err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	h := srv.Handler()
 

@@ -79,8 +79,6 @@ type Config struct {
 	RingDepth int
 	// Seed seeds the pools' steal RNGs.
 	Seed uint64
-	// LockFreeDeque selects the Chase-Lev deque in the pools.
-	LockFreeDeque bool
 	// OnResult, when non-nil, receives every admitted user's result.
 	OnResult func(uplink.UserResult)
 }
@@ -347,7 +345,6 @@ func NewServer(cfg Config) (*Server, error) {
 		pc.Workers = cfg.Workers
 		pc.Receiver = cfg.Receiver
 		pc.Seed = cfg.Seed + uint64(i)
-		pc.LockFreeDeque = cfg.LockFreeDeque
 		pc.OnResult = onResult
 		pool, err := sched.NewPool(pc)
 		if err != nil {

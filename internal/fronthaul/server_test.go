@@ -47,9 +47,8 @@ func TestLoopbackNominalLoad(t *testing.T) {
 		Capacity:       1,
 		Seed:           7,
 	})
-	stats, err := RunLoopback(GenConfig{
-		Network:   "tcp",
-		Addr:      addr,
+	stats, err := Generate(GenConfig{
+		Resolve:   Addr("tcp", addr),
 		Cells:     cells,
 		Subframes: subframes,
 		Load:      1,
@@ -57,7 +56,7 @@ func TestLoopbackNominalLoad(t *testing.T) {
 		MaxPRB:    2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	want := int64(cells * subframes)
 	if stats.Sent != want || stats.Acked != want || stats.Done != want {
@@ -97,9 +96,8 @@ func overloadRun(t *testing.T) (GenStats, CellStats) {
 		Burst:          0.5,
 		Seed:           11,
 	})
-	stats, err := RunLoopback(GenConfig{
-		Network:   "tcp",
-		Addr:      addr,
+	stats, err := Generate(GenConfig{
+		Resolve:   Addr("tcp", addr),
 		Cells:     1,
 		Subframes: 80,
 		Load:      4,
@@ -107,7 +105,7 @@ func overloadRun(t *testing.T) (GenStats, CellStats) {
 		MaxPRB:    2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	return stats, srv.CellStats(0)
 }
@@ -400,11 +398,11 @@ func overloadRunWithServer(t *testing.T, inspect func(*Server)) (GenStats, CellS
 		Burst:          0.5,
 		Seed:           11,
 	})
-	stats, err := RunLoopback(GenConfig{
-		Network: "tcp", Addr: addr, Cells: 1, Subframes: 40, Load: 4, Seed: 11, MaxPRB: 2,
+	stats, err := Generate(GenConfig{
+		Resolve: Addr("tcp", addr), Cells: 1, Subframes: 40, Load: 4, Seed: 11, MaxPRB: 2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoopback: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
 	inspect(srv)
 	return stats, srv.CellStats(0)

@@ -22,7 +22,7 @@ func FuzzSegmentationRoundTrip(f *testing.F) {
 		for i := range tb {
 			tb[i] = uint8((pattern >> (uint(i) % 64)) & 1)
 		}
-		got, ok := s.Decode(bitsToLLR(s.Encode(tb), 6), 2)
+		got, ok := segDecode(s, bitsToLLR(s.Encode(tb), 6), 2)
 		if !ok && s.PerCRC {
 			t.Fatalf("B=%d: clean decode failed per-block CRC", b)
 		}
@@ -123,7 +123,7 @@ func FuzzTurboQuantized(f *testing.F) {
 		if amp < 4 && !spike {
 			// Clean regime: both kernels must agree with the transmitted
 			// payload (and therefore with each other).
-			fb := c.Decode(llr, iters)
+			fb := c.oracleDecode(llr, iters)
 			for i := range info {
 				if qb[i] != info[i] {
 					t.Fatalf("K=%d amp=%.2f: quant bit %d wrong on clean input", k, amp, i)

@@ -13,8 +13,8 @@ import (
 // code block to int8 at the rate-match boundary (saturating, per-block
 // full-scale qChanMax), extrinsics/apriori live in int8 with a 3/4
 // extrinsic scale recovering most of the max-log loss, and all trellis
-// arithmetic runs in int32 registers. The float64 kernel in codec.go
-// stays untouched as the accuracy oracle.
+// arithmetic runs in int32 registers. The float64 max-log-MAP decoder in
+// oracle_test.go is the accuracy oracle it is measured against.
 //
 // Each constituent BCJR pass is split into ceil(k/qWindow) independent
 // windows. Window boundary metrics use NII (next-iteration
@@ -98,7 +98,7 @@ func (c *Codec) DecodeQuant(llr []float64, opts DecodeOpts) ([]uint8, int) {
 // state from ws (heap when nil). It returns the hard info bits and the
 // number of half-iterations executed. The returned bit slice is
 // arena-backed by contract: valid only until the caller releases the
-// enclosing arena mark, which the caller holds (see segment.DecodeInto),
+// enclosing arena mark, which the caller holds (see DecodeOptsInto),
 // so callers must copy it out first.
 //
 //ltephy:owns-scratch

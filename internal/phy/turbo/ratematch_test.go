@@ -166,7 +166,7 @@ func TestRateMatchedRoundTrip(t *testing.T) {
 		tx := rm.Match(c.Encode(info), e, rv)
 		llr := make([]float64, CodedLen(k))
 		rm.Accumulate(llr, bitsToLLR(tx, 4), rv)
-		got := c.Decode(llr, 4)
+		got := decode(c, llr, 4)
 		for i := range info {
 			if got[i] != info[i] {
 				return false
@@ -216,7 +216,7 @@ func TestIncrementalRedundancyGain(t *testing.T) {
 
 		single := make([]float64, CodedLen(k))
 		rm.Accumulate(single, noisyLLR(tx0), 0)
-		got := c.Decode(single, 6)
+		got := decode(c, single, 6)
 		for i := range info {
 			if got[i] != info[i] {
 				errsSingle++
@@ -226,7 +226,7 @@ func TestIncrementalRedundancyGain(t *testing.T) {
 		combined := make([]float64, CodedLen(k))
 		rm.Accumulate(combined, noisyLLR(tx0), 0)
 		rm.Accumulate(combined, noisyLLR(tx2), 2)
-		got2 := c.Decode(combined, 6)
+		got2 := decode(c, combined, 6)
 		for i := range info {
 			if got2[i] != info[i] {
 				errsCombined++

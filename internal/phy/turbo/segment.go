@@ -153,68 +153,25 @@ func (s *Segmentation) AccumulateRM(mother, llr []float64, rv int) error {
 	return nil
 }
 
-// DecodeMother decodes an accumulated mother buffer.
-func (s *Segmentation) DecodeMother(mother []float64, iterations int) (tb []uint8, ok bool) {
-	return s.Decode(mother, iterations)
-}
-
-// DecodeRM de-rate-matches e soft values (redundancy version rv) and
-// decodes. ok reports per-block CRC24B results as in Decode.
-func (s *Segmentation) DecodeRM(llr []float64, rv, iterations int) (tb []uint8, ok bool, err error) {
-	return s.DecodeRMInto(nil, nil, llr, rv, iterations)
-}
-
-// DecodeRMInto is DecodeRM with the mother soft buffer and decoder state
-// drawn from ws, appending the transport block to dst (which may be nil; a
-// reused dst[:0] keeps the hot path allocation-free). The mother buffer
-// must start zeroed because AccumulateRM adds into it — arena grabs are,
-// like make, always zeroed.
-func (s *Segmentation) DecodeRMInto(dst []uint8, ws *workspace.Arena, llr []float64, rv, iterations int) (tb []uint8, ok bool, err error) {
-	m := ws.Mark()
-	mother := ws.Float(s.MotherLen())
-	if err := s.AccumulateRM(mother, llr, rv); err != nil {
-		ws.Release(m)
-		return nil, false, err
-	}
-	tb, ok = s.DecodeInto(dst, ws, mother, iterations)
-	ws.Release(m)
-	return tb, ok, nil
-}
-
-// Kernel selects which decoder implementation a segmented decode uses.
-type Kernel int
-
-const (
-	// KernelInt8 is the quantized sliding-window max-log-MAP path — the
-	// default, line-rate kernel.
-	KernelInt8 Kernel = iota
-	// KernelFloat64 is the float64 max-log-MAP path, kept as the
-	// accuracy oracle.
-	KernelFloat64
-)
-
 // SegDecodeOpts configures a segmented transport-block decode.
 type SegDecodeOpts struct {
 	// Iterations caps full decode iterations per code block.
 	Iterations int
-	// Kernel selects the int8 line-rate path (default) or the float64
-	// oracle.
-	Kernel Kernel
 	// Par fans one code block's trellis windows out across workers
-	// (int8 kernel only; nil = serial).
+	// (nil = serial).
 	Par Parallel
 	// TBCheck, when non-nil and C == 1, gates early termination on the
 	// transport-block CRC: it is called per half-iteration with the
 	// decoded transport block (filler stripped). Segments with C > 1
-	// use the per-block CRC24B gate instead, as before. Must be a
+	// use the per-block CRC24B gate instead. Must be a
 	// non-capturing func on allocation-free paths.
 	TBCheck func([]uint8) bool
 }
 
-// DecodeRMOptsInto is DecodeRMInto with kernel selection, window fan-out
-// and CRC gating; it additionally returns the realized half-iteration
-// count summed across code blocks, which feeds the iteration-aware decode
-// cost model.
+// DecodeRMOptsInto de-rate-matches e soft values (redundancy version rv)
+// into a mother buffer drawn from ws and decodes it with DecodeOptsInto.
+// The mother buffer must start zeroed because AccumulateRM adds into it —
+// arena grabs are, like make, always zeroed.
 func (s *Segmentation) DecodeRMOptsInto(dst []uint8, ws *workspace.Arena, llr []float64, rv int, opts SegDecodeOpts) (tb []uint8, ok bool, halfIters int, err error) {
 	m := ws.Mark()
 	mother := ws.Float(s.MotherLen())
@@ -227,11 +184,16 @@ func (s *Segmentation) DecodeRMOptsInto(dst []uint8, ws *workspace.Arena, llr []
 	return tb, ok, halfIters, nil
 }
 
-// DecodeOptsInto is DecodeInto with kernel selection, window fan-out and
-// CRC-gated early termination; it additionally returns the realized
-// half-iteration count summed across code blocks. The float64 kernel
-// keeps DecodeInto's exact semantics (stability-only stop when C == 1)
-// and reports full iterations as two half-iterations each.
+// DecodeOptsInto decodes concatenated codeword LLRs back into the
+// transport block with the int8 sliding-window kernel, appending it to dst
+// (which may be nil; a reused dst[:0] keeps the hot path allocation-free).
+// The returned slice is dst's backing memory, never arena memory: decoded
+// bits outlive the per-call scratch. Each code block's state is released
+// before the next begins, so peak arena use is one block's trellis
+// regardless of C. ok reports whether every per-block CRC24B verified
+// (always true when C == 1, where no per-block CRC exists); halfIters is
+// the realized half-iteration count summed across code blocks, which
+// feeds the iteration-aware decode cost model.
 func (s *Segmentation) DecodeOptsInto(dst []uint8, ws *workspace.Arena, llr []float64, opts SegDecodeOpts) (tb []uint8, ok bool, halfIters int) {
 	if len(llr) != s.CodedLen() {
 		panic(fmt.Sprintf("turbo: got %d LLRs, want %d", len(llr), s.CodedLen()))
@@ -244,29 +206,17 @@ func (s *Segmentation) DecodeOptsInto(dst []uint8, ws *workspace.Arena, llr []fl
 	per := CodedLen(s.K)
 	for c := 0; c < s.C; c++ {
 		m := ws.Mark()
-		var block []uint8
-		if opts.Kernel == KernelFloat64 {
-			var check func([]uint8) bool
-			if s.PerCRC {
-				check = crc24bCheck
-			}
-			var ran int
-			block, ran = s.codec.DecodeEarlyStopIn(ws, llr[c*per:(c+1)*per], opts.Iterations, check)
-			halfIters += 2 * ran
-		} else {
-			q := DecodeOpts{Iterations: opts.Iterations, Par: opts.Par}
-			if s.PerCRC {
-				q.Check = crc24bCheck
-			} else if opts.TBCheck != nil {
-				// C == 1: the transport block is the code block minus
-				// filler, so the TB CRC gates decoding directly.
-				q.Check = opts.TBCheck
-				q.CheckOffset = s.Fill
-			}
-			var ran int
-			block, ran = s.codec.DecodeQuantIn(ws, llr[c*per:(c+1)*per], q)
-			halfIters += ran
+		q := DecodeOpts{Iterations: opts.Iterations, Par: opts.Par}
+		if s.PerCRC {
+			q.Check = crc24bCheck
+		} else if opts.TBCheck != nil {
+			// C == 1: the transport block is the code block minus filler,
+			// so the TB CRC gates decoding directly.
+			q.Check = opts.TBCheck
+			q.CheckOffset = s.Fill
 		}
+		block, ran := s.codec.DecodeQuantIn(ws, llr[c*per:(c+1)*per], q)
+		halfIters += ran
 		if s.PerCRC {
 			if !crc.CRC24B.CheckBits(block) {
 				ok = false
@@ -280,51 +230,4 @@ func (s *Segmentation) DecodeOptsInto(dst []uint8, ws *workspace.Arena, llr []fl
 		ws.Release(m)
 	}
 	return tb, ok, halfIters
-}
-
-// Decode decodes concatenated codeword LLRs back into the transport block.
-// ok reports whether every per-block CRC24B verified (always true when
-// C == 1, where no per-block CRC exists).
-func (s *Segmentation) Decode(llr []float64, iterations int) (tb []uint8, ok bool) {
-	return s.DecodeInto(nil, nil, llr, iterations)
-}
-
-// DecodeInto is Decode with per-block decoder state drawn from ws (heap
-// when nil), appending the decoded transport block to dst. The returned
-// slice is dst's backing memory (grown as needed), never arena memory:
-// decoded bits outlive the per-call scratch. Each code block's state is
-// released before the next begins, so peak arena use is one block's
-// trellis regardless of C.
-func (s *Segmentation) DecodeInto(dst []uint8, ws *workspace.Arena, llr []float64, iterations int) (tb []uint8, ok bool) {
-	if len(llr) != s.CodedLen() {
-		panic(fmt.Sprintf("turbo: got %d LLRs, want %d", len(llr), s.CodedLen()))
-	}
-	ok = true
-	if cap(dst) == 0 {
-		dst = make([]uint8, 0, s.B) //ltephy:alloc-ok — payload outlives the arena by design; hot callers pass a preallocated dst
-	}
-	tb = dst
-	per := CodedLen(s.K)
-	for c := 0; c < s.C; c++ {
-		var check func([]uint8) bool
-		if s.PerCRC {
-			// CRC-aided early termination: stop iterating the moment the
-			// block verifies.
-			check = crc24bCheck
-		}
-		m := ws.Mark()
-		block, _ := s.codec.DecodeEarlyStopIn(ws, llr[c*per:(c+1)*per], iterations, check)
-		if s.PerCRC {
-			if !crc.CRC24B.CheckBits(block) {
-				ok = false
-			}
-			block = block[:len(block)-blockCRCBits]
-		}
-		if c == 0 {
-			block = block[s.Fill:]
-		}
-		tb = append(tb, block...)
-		ws.Release(m)
-	}
-	return tb, ok
 }

@@ -32,13 +32,25 @@ type Task struct {
 	stage uint8
 }
 
+// taskDeque is the work-stealing queue contract: the owning worker pushes
+// and pops at the bottom, thieves steal from the top.
+type taskDeque interface {
+	push(Task)
+	pop() (Task, bool)
+	steal() (Task, bool)
+	size() int
+}
+
+var _ taskDeque = (*deque)(nil)
+
 // deque is a double-ended task queue: the owning worker pushes and pops at
 // the bottom (LIFO, cache-friendly), thieves steal from the top (FIFO,
 // steals the oldest — typically largest — work first).
 //
 // A mutex guards the deque rather than a lock-free Chase-Lev structure:
 // benchmark tasks are tens of microseconds of DSP, so lock overhead is
-// noise, and the mutex keeps the memory-model reasoning trivial.
+// noise (a Chase-Lev deque won 3 of 10 alternating pairs; EXPERIMENTS.md),
+// and the mutex keeps the memory-model reasoning trivial.
 type deque struct {
 	mu    sync.Mutex
 	tasks []Task

@@ -74,10 +74,6 @@ type Config struct {
 	// OnResult, when non-nil, receives every user result. It is called
 	// from worker goroutines and must be safe for concurrent use.
 	OnResult func(uplink.UserResult)
-	// LockFreeDeque selects the Chase-Lev lock-free deque instead of the
-	// default mutex-guarded one. BenchmarkDeques compares them; with this
-	// benchmark's coarse tasks the difference is small.
-	LockFreeDeque bool
 	// Seed randomises steal victim selection.
 	Seed uint64
 	// Telemetry, when non-nil, is the registry the pool records into; it
@@ -192,11 +188,7 @@ func newPool(cfg Config) (*Pool, error) {
 			w.stageCtx[c] = pprof.WithLabels(w.baseCtx,
 				pprof.Labels("stage", obs.StageNames[c]))
 		}
-		if cfg.LockFreeDeque {
-			w.local = newCLDeque()
-		} else {
-			w.local = &deque{}
-		}
+		w.local = &deque{}
 		p.workers[i] = w
 	}
 	return p, nil

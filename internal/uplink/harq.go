@@ -88,7 +88,7 @@ func RVForRound(n int) int {
 // Absorb accumulates one transmission's demapped (and descrambled) soft
 // bits — exactly the LLR stream UserJob.SoftBits exposes — sent with the
 // given redundancy version, then attempts a decode with the configured
-// iteration cap and kernel.
+// iteration cap.
 func (h *HARQProcess) Absorb(llr []float64, rv int) (payload []uint8, ok bool, err error) {
 	if len(llr) != h.format.TotalBits {
 		return nil, false, fmt.Errorf("uplink: HARQ got %d soft bits, format expects %d",
@@ -100,7 +100,6 @@ func (h *HARQProcess) Absorb(llr []float64, rv int) (payload []uint8, ok bool, e
 	h.rounds++
 	tb, segOK, halfIters := h.format.Seg.DecodeOptsInto(nil, nil, h.mother, turbo.SegDecodeOpts{
 		Iterations: h.params.Iterations,
-		Kernel:     h.params.Kernel,
 		TBCheck:    tbCRCCheck,
 	})
 	h.halfIters = halfIters

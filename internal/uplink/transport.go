@@ -201,19 +201,15 @@ func (f TransportFormat) EncodeTransportBlockRV(payload []uint8, rv int) []uint8
 }
 
 // DecodeParams bundles the decode-path knobs a caller threads from
-// ReceiverConfig down to the turbo decoder, replacing the bare iteration
-// count (and the redundancy version the old path hardcoded to 0).
+// ReceiverConfig down to the turbo decoder.
 type DecodeParams struct {
 	// Iterations caps full turbo iterations per code block.
 	Iterations int
-	// Kernel selects the int8 line-rate decoder (default) or the
-	// float64 oracle.
-	Kernel turbo.Kernel
 	// RV is the redundancy version of the transmission being decoded
 	// (rate-matched formats only).
 	RV int
 	// Par, when non-nil, fans one code block's trellis windows out
-	// across scheduler workers (int8 kernel only).
+	// across scheduler workers.
 	Par turbo.Parallel
 }
 
@@ -221,43 +217,28 @@ type DecodeParams struct {
 // config applies — the single place bench/enb/sim-facing code maps
 // ReceiverConfig onto the decoder.
 func (c ReceiverConfig) DecodeParams() DecodeParams {
-	return DecodeParams{Iterations: c.TurboIterations, Kernel: c.TurboKernel}
+	return DecodeParams{Iterations: c.TurboIterations}
 }
 
 // tbCRCCheck is the transport-block CRC gate as a package-level func, so
 // CRC-gated early termination doesn't materialise a closure per decode.
 var tbCRCCheck = func(bits []uint8) bool { return tbCRC.CheckBits(bits) }
 
-// DecodeTransportBlock inverts EncodeTransportBlock from soft bits:
-// it consumes exactly TotalBits LLRs, decodes, and verifies CRC24A.
-func (f TransportFormat) DecodeTransportBlock(llr []float64, iterations int) (payload []uint8, crcOK bool) {
-	return f.DecodeTransportBlockInto(nil, nil, llr, iterations)
-}
-
-// DecodeTransportBlockInto is DecodeTransportBlock with decoder scratch
-// drawn from ws and the decoded bits appended to dst (both may be nil;
-// reusing dst across calls keeps the hot path allocation-free). The
-// returned payload is dst-backed — plain heap memory, never arena
-// scratch. It runs the float64 kernel with the legacy semantics;
-// receivers use DecodeTransportBlockParams.
-func (f TransportFormat) DecodeTransportBlockInto(dst []uint8, ws *workspace.Arena, llr []float64, iterations int) (payload []uint8, crcOK bool) {
-	payload, crcOK, _ = f.DecodeTransportBlockParams(dst, ws, llr, DecodeParams{Iterations: iterations, Kernel: turbo.KernelFloat64})
-	return payload, crcOK
-}
-
-// DecodeTransportBlockParams is the configurable decode path: kernel
-// selection, redundancy version, CRC-gated early termination (the
-// transport-block CRC24A gates single-block segments per half-iteration)
-// and optional window fan-out. It additionally returns the realized
-// half-iteration count, which feeds the iteration-aware decode cost
-// model.
+// DecodeTransportBlockParams inverts EncodeTransportBlock from soft bits:
+// it consumes exactly TotalBits LLRs, decodes with the given redundancy
+// version, CRC-gated early termination (the transport-block CRC24A gates
+// single-block segments per half-iteration) and optional window fan-out,
+// and verifies CRC24A. Decoder scratch is drawn from ws and the decoded
+// bits are appended to dst (both may be nil; reusing dst across calls
+// keeps the hot path allocation-free); the payload is dst-backed, never
+// arena scratch. It additionally returns the realized half-iteration
+// count, which feeds the iteration-aware decode cost model.
 func (f TransportFormat) DecodeTransportBlockParams(dst []uint8, ws *workspace.Arena, llr []float64, p DecodeParams) (payload []uint8, crcOK bool, halfIters int) {
 	if len(llr) != f.TotalBits {
 		panic(fmt.Sprintf("uplink: got %d LLRs, format expects %d", len(llr), f.TotalBits))
 	}
 	opts := turbo.SegDecodeOpts{
 		Iterations: p.Iterations,
-		Kernel:     p.Kernel,
 		Par:        p.Par,
 		TBCheck:    tbCRCCheck,
 	}

@@ -21,7 +21,6 @@ import (
 	"ltephy/internal/phy/channel"
 	"ltephy/internal/phy/modulation"
 	"ltephy/internal/phy/sequence"
-	"ltephy/internal/phy/turbo"
 )
 
 // LTE numerology fixed by the standard and used throughout the paper.
@@ -302,10 +301,6 @@ type ReceiverConfig struct {
 	Antennas        int
 	Turbo           TurboMode
 	TurboIterations int // used only in TurboFull mode
-	// TurboKernel selects the turbo decoder implementation in TurboFull
-	// mode: the zero value is the int8 sliding-window line-rate kernel;
-	// turbo.KernelFloat64 keeps the float oracle path.
-	TurboKernel turbo.Kernel
 	// CodeRate, when nonzero, enables rate matching in TurboFull mode: the
 	// payload is CodeRate*capacity and the codeword is punctured/repeated
 	// to fill the allocation exactly. Zero keeps the mother-rate codeword
@@ -355,8 +350,6 @@ func (c ReceiverConfig) Validate() error {
 		return fmt.Errorf("uplink: antenna count %d outside [1, 8]", c.Antennas)
 	case c.Turbo == TurboFull && c.TurboIterations < 1:
 		return fmt.Errorf("uplink: turbo iterations %d < 1", c.TurboIterations)
-	case c.TurboKernel != turbo.KernelInt8 && c.TurboKernel != turbo.KernelFloat64:
-		return fmt.Errorf("uplink: unknown turbo kernel %d", int(c.TurboKernel))
 	case c.CodeRate != 0 && (c.CodeRate < 0 || c.CodeRate >= 1):
 		return fmt.Errorf("uplink: code rate %g outside (0, 1)", c.CodeRate)
 	case c.Combiner < CombinerMMSE || c.Combiner > CombinerIRC:

@@ -113,7 +113,7 @@ func TestTransportRoundTripBits(t *testing.T) {
 				llr[i] = -5
 			}
 		}
-		got, ok := f.DecodeTransportBlock(llr, 4)
+		got, ok, _ := f.DecodeTransportBlockParams(nil, nil, llr, uplink.DecodeParams{Iterations: 4})
 		if !ok {
 			t.Errorf("mode %v: CRC failed on clean round trip", mode)
 		}
