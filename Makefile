@@ -57,15 +57,21 @@ test:
 # snapshots, the serving layer's connection/ack plumbing, the turbo
 # window fan-out's shared-state handoff and the coordinator's supervision,
 # checkpoint and migration goroutines; -race proves no scratch buffer
-# crosses workers and the shared counters are race-free.
+# crosses workers and the shared counters are race-free. The pool's
+# park/wake stress test then runs 20 times over under the detector: a lost
+# wake-up hangs it into its watchdog's goroutine dump.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/uplink/... ./internal/obs/... ./internal/fronthaul/... ./internal/phy/turbo/... ./internal/fleet/... ./cmd/lte-fleet/...
+	$(GO) test -race -run '^TestParkNoLostWakeup$$' -count=20 ./internal/sched/
 
 # Guards the ISSUE 1 invariant: the post-warmup receiver hot path must
 # not allocate (see internal/uplink/alloc_bench_test.go) — including with
-# telemetry recording at sampling 0, 1 and 64.
+# telemetry recording at sampling 0, 1 and 64 — and the pool's task path
+# allocates only each user's job and result payload
+# (internal/sched/alloc_test.go).
 zeroalloc:
 	$(GO) test -run TestSteadyStateZeroAlloc -count=1 ./internal/uplink/
+	$(GO) test -run '^TestPoolSteadyStateAllocs$$' -count=1 ./internal/sched/
 
 # Telemetry overhead budget (ISSUE 4): a fully instrumented subframe at
 # sampling=1 must cost <= 5% over sampling=0. Benchmarks for ~10s.
@@ -188,15 +194,17 @@ fleet-smoke:
 
 # Benchmark smoke: the repository benchmark (BENCHMARK.json) for 3 s on its
 # reference workload, untraced then traced, on frontend_wide untraced — the
-# workload with a prime-radix transform length (22 PRB, n = 264) — and on
+# workload with a prime-radix transform length (22 PRB, n = 264) — on
 # ref_turbo_op untraced, the only one that decodes: int8 window kernel,
-# rate-dematch and CRC gate, half-iteration counts included. Every pass is
+# rate-dematch and CRC gate, half-iteration counts included — and on
+# serve_wire untraced, the fronthaul server whose single worker parks
+# between subframes, so a wake-protocol hang fails here. Every pass is
 # compared bit for bit with a golden serial pass, so a receiver change that
 # breaks it fails here rather than in the pipeline's benchmark run; the
 # run's last line is its JSON verdict.
 benchmark-smoke:
 	@set -e; mkdir -p .bench_build; \
-	for run in "ref_passthrough 0" "ref_passthrough 1" "frontend_wide 0" "ref_turbo_op 0"; do \
+	for run in "ref_passthrough 0" "ref_passthrough 1" "frontend_wide 0" "ref_turbo_op 0" "serve_wire 0"; do \
 		set -- $$run; \
 		bash benchmark/run.sh --workload $$1 --seconds 3 --trace $$2 | tee .bench_build/smoke.txt; \
 		tail -n 1 .bench_build/smoke.txt | grep -q '"correct":true' || \

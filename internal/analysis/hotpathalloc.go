@@ -13,9 +13,10 @@ import (
 // function named Run or RunBatch whose first parameter is
 // *workspace.Arena, the shape of uplink.Stage and uplink.BatchStage) or
 // any function annotated //ltephy:hotpath — heap allocations that bypass
-// the arena are flagged: make(), append that grows fresh heap memory, and
+// the arena are flagged: make(), append that grows fresh heap memory,
 // interface boxing through ...interface{} variadics or explicit
-// conversions. The call graph is walked across all loaded packages;
+// conversions, and closures that capture locals stored in a composite
+// literal (the per-task closure a scheduler would otherwise spawn). The call graph is walked across all loaded packages;
 // //ltephy:coldpath functions (memoised warm-up, guards) are neither
 // checked nor traversed, and a sanctioned allocation line carries
 // //ltephy:alloc-ok. Arguments of a panic call are exempt — that path
@@ -180,6 +181,28 @@ func checkHotFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 		return true
 	})
 
+	// Closures packed into a composite literal (a task struct): the
+	// literal is stored, so every variable the closure captures moves to
+	// the heap along with the closure — one allocation per evaluation.
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		cl, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		for _, el := range cl.Elts {
+			if kv, isKV := el.(*ast.KeyValueExpr); isKV {
+				el = kv.Value
+			}
+			lit, isLit := ast.Unparen(el).(*ast.FuncLit)
+			if !isLit || pass.Pkg.AllocOKLine(pass.Prog.Fset, lit.Pos()) || !capturesLocal(info, fd, lit) {
+				continue
+			}
+			pass.Reportf(lit.Pos(),
+				"closure stored in a composite literal in hot-path function %s allocates per evaluation; carry the captured values as fields instead", name)
+		}
+		return true
+	})
+
 	// Explicit interface conversions: any(x) / InterfaceType(x).
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -198,6 +221,23 @@ func checkHotFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// capturesLocal reports whether the literal reads a variable declared in
+// the enclosing function (a parameter, receiver or local) outside itself.
+func capturesLocal(info *types.Info, fd *ast.FuncDecl, lit *ast.FuncLit) bool {
+	captures := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, isVar := info.Uses[id].(*types.Var); isVar && !v.IsField() &&
+				v.Pos() >= fd.Pos() && v.Pos() < fd.End() &&
+				(v.Pos() < lit.Pos() || v.Pos() >= lit.End()) {
+				captures = true
+			}
+		}
+		return !captures
+	})
+	return captures
 }
 
 func isTypeParam(t types.Type) bool {

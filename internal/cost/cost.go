@@ -29,7 +29,11 @@ const (
 	// is a calibration constant, not a microarchitectural claim.
 	DefaultCyclesPerOp = 0.907
 	// DefaultTaskOverhead is the scheduling cost charged per task pickup
-	// (deque/steal traffic), in cycles (~3 us at 700 MHz).
+	// (deque/steal traffic), in cycles (~3 us at 700 MHz). It prices the
+	// simulated TILEPro, not the host: the native pool's measured overhead
+	// per empty value task (sched BenchmarkTaskOverhead) is ~160 ns for
+	// push + pop + complete and ~350 ns for push + steal + complete across
+	// two workers, on a 2-vCPU Xeon.
 	DefaultTaskOverhead = 2000
 	// DefaultUserOverhead is charged once per user job (dequeue from the
 	// global queue, job setup).

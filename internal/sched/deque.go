@@ -11,25 +11,32 @@ package sched
 
 import (
 	"sync"
+	"sync/atomic"
 
-	"ltephy/internal/phy/workspace"
+	"ltephy/internal/uplink"
 )
 
-// Task is one unit of schedulable work. Tasks must not block; stage
-// barriers are implemented by the user-thread loop (helpWait), never
-// inside a task. The argument is the executing worker's scratch arena —
-// a stolen task draws scratch from the thief, never from the worker that
-// spawned it.
+// Task is one unit of schedulable work, stored by value so that spawning
+// it allocates nothing. It is either task index task of a receiver stage
+// (stage.Run(ws, job, task)) or, when win is non-nil, one turbo trellis
+// window (win(task)). Whichever worker runs it then decrements rem, the
+// spawning worker's join counter. Tasks must not block; stage barriers
+// are implemented by the spawner's help loop (runStage, runWindows), never
+// inside a task. A stage task draws scratch from the executing worker's
+// arena — a stolen task from the thief's, never from the spawner's.
 //
 // The telemetry identity (stage class, subframe sequence, user, task
 // index) travels with the task so that whichever worker executes it —
 // owner or thief — attributes the span to the right stage and subframe.
 type Task struct {
-	fn    func(ws *workspace.Arena)
+	stage uplink.Stage
+	job   *uplink.UserJob
+	win   func(int)
+	rem   *atomic.Int64
 	seq   int64
 	user  int32
 	task  int32
-	stage uint8
+	cls   uint8
 }
 
 // taskDeque is the work-stealing queue contract: the owning worker pushes

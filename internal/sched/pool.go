@@ -109,6 +109,18 @@ type WorkerStats struct {
 	NapNanos  int64
 }
 
+// spinSweeps is how many consecutive empty sweeps (local deque, global
+// queue, every victim) with no user in flight an idle worker yields
+// through before it parks: enough to bridge a back-to-back submitter's
+// gap between subframes, short next to a paced dispatch period, so a
+// worker waiting for the next subframe parks instead of holding a P the
+// server's ingest needs.
+const spinSweeps = 64
+
+// napAfterSweeps is the NapOnIdle (paper IDLE) threshold: a worker naps
+// once this many consecutive sweeps came up empty.
+const napAfterSweeps = 4
+
 // Pool is the work-stealing worker pool.
 type Pool struct {
 	cfg     Config
@@ -118,8 +130,18 @@ type Pool struct {
 	active  atomic.Int32 // workers with id >= active nap (proactive mask)
 	closed  atomic.Bool
 	wg      sync.WaitGroup
-	// pending counts enqueued-but-unfinished users, letting Drain wait.
+	// pending counts enqueued-but-unfinished users; the user whose
+	// completion brings it to zero broadcasts drained under drainMu.
 	pending atomic.Int64
+	drainMu sync.Mutex
+	drained *sync.Cond
+	// parked counts workers registered to sleep on wakeCh. Whoever makes
+	// work visible loads it afterwards and sends at most that many tokens,
+	// never blocking. The buffer holds one token per worker, enough to wake
+	// every worker at once; when it is full, the next receive returns at
+	// once, so a dropped send never strands a parker.
+	parked atomic.Int32
+	wakeCh chan struct{}
 }
 
 type worker struct {
@@ -138,7 +160,19 @@ type worker struct {
 	// per-task SetGoroutineLabels swap allocation-free.
 	baseCtx  context.Context
 	stageCtx [obs.NumStages]context.Context
-	stats    struct {
+	// join is the completion counter of this worker's open stage or window
+	// fan-out; thieves decrement it through Task.rem. A worker has at most
+	// one open join: runStage and runWindows never nest, because the only
+	// caller of the window hook is the backend stage, which is serial and
+	// runs inline on the user thread.
+	join atomic.Int64
+	// fanout is the turbo window hook (runWindows as a method value), built
+	// once so that installing it per user allocates nothing; seq and user
+	// label the windows of the user being processed.
+	fanout func(n int, fn func(int))
+	seq    int64
+	user   int32
+	stats  struct {
 		tasksRun     atomic.Int64
 		usersStarted atomic.Int64
 		steals       atomic.Int64
@@ -175,7 +209,8 @@ func newPool(cfg Config) (*Pool, error) {
 		return nil, fmt.Errorf("sched: telemetry registry has %d recorders for %d workers",
 			cfg.Telemetry.Workers(), cfg.Workers)
 	}
-	p := &Pool{cfg: cfg, tel: cfg.Telemetry}
+	p := &Pool{cfg: cfg, tel: cfg.Telemetry, wakeCh: make(chan struct{}, cfg.Workers)}
+	p.drained = sync.NewCond(&p.drainMu)
 	p.active.Store(int32(cfg.Workers))
 	seeds := rng.New(cfg.Seed)
 	p.workers = make([]*worker, cfg.Workers)
@@ -189,6 +224,7 @@ func newPool(cfg Config) (*Pool, error) {
 				pprof.Labels("stage", obs.StageNames[c]))
 		}
 		w.local = &deque{}
+		w.fanout = w.runWindows
 		p.workers[i] = w
 	}
 	return p, nil
@@ -222,18 +258,26 @@ func (p *Pool) SetActiveWorkers(n int) {
 	if n > p.cfg.Workers {
 		n = p.cfg.Workers
 	}
-	p.active.Store(int32(n))
+	if int32(n) < p.active.Swap(int32(n)) {
+		// Newly masked workers may be parked; they must wake to nap.
+		p.wake(p.cfg.Workers)
+	}
 }
 
 // ActiveWorkers returns the current proactive mask.
 func (p *Pool) ActiveWorkers() int { return int(p.active.Load()) }
 
 // SubmitSubframe enqueues every user of a subframe for processing.
+//
+// The submit paths never read sf after its last user is enqueued: from
+// then on the subframe can complete, and a completion hook may recycle it.
 func (p *Pool) SubmitSubframe(sf *uplink.Subframe) {
+	n := len(sf.Users)
 	for _, u := range sf.Users {
 		p.pending.Add(1)
 		p.global.enqueue(queuedUser{seq: sf.Seq, cell: sf.Cell, data: u})
 	}
+	p.wake(n)
 }
 
 // SubmitSubframeFin enqueues a subframe with a completion hook: fin.fn
@@ -245,29 +289,63 @@ func (p *Pool) SubmitSubframeFin(sf *uplink.Subframe, fin *SubframeFin) {
 		fin.fn()
 		return
 	}
-	fin.remaining.Store(int64(len(sf.Users)))
+	n := len(sf.Users)
+	fin.remaining.Store(int64(n))
 	for _, u := range sf.Users {
 		p.pending.Add(1)
 		p.global.enqueue(queuedUser{seq: sf.Seq, cell: sf.Cell, data: u, fin: fin})
 	}
+	p.wake(n)
 }
 
 // ProcessSubframe enqueues a subframe and blocks until all of its users
 // complete — used by tests and the verification harness.
 func (p *Pool) ProcessSubframe(sf *uplink.Subframe) {
+	n := len(sf.Users)
 	var wg sync.WaitGroup
-	wg.Add(len(sf.Users))
+	wg.Add(n)
 	for _, u := range sf.Users {
 		p.pending.Add(1)
 		p.global.enqueue(queuedUser{seq: sf.Seq, cell: sf.Cell, data: u, done: &wg})
 	}
+	p.wake(n)
 	wg.Wait()
+}
+
+// wake sends at most n wake tokens, and no more than there are parked
+// workers, without blocking. Callers make their work visible first; a
+// parker registers in parked before its last look for work, so one of the
+// two always sees the other. With nobody parked it costs one atomic load.
+func (p *Pool) wake(n int) {
+	for k := int(p.parked.Load()); k > 0 && n > 0; k, n = k-1, n-1 {
+		select {
+		case p.wakeCh <- struct{}{}:
+		default:
+			return // buffer full: the next receive returns at once anyway
+		}
+	}
 }
 
 // Drain blocks until every submitted user has been processed.
 func (p *Pool) Drain() {
+	p.drainMu.Lock()
 	for p.pending.Load() > 0 {
-		runtime.Gosched()
+		p.drained.Wait()
+	}
+	p.drainMu.Unlock()
+}
+
+// userDone retires one user from pending, waking Drain when it was the
+// last. The lock is taken only on the transition to zero and is held for
+// one broadcast, so its wait is bounded by another such broadcast or a
+// drainer's load-and-wait.
+//
+//ltephy:blocking-ok
+func (p *Pool) userDone() {
+	if p.pending.Add(-1) == 0 {
+		p.drainMu.Lock()
+		p.drained.Broadcast()
+		p.drainMu.Unlock()
 	}
 }
 
@@ -281,6 +359,7 @@ func (p *Pool) Pending() int64 { return p.pending.Load() }
 func (p *Pool) Close() {
 	p.Drain()
 	p.closed.Store(true)
+	p.wake(p.cfg.Workers)
 	p.wg.Wait()
 }
 
@@ -371,11 +450,8 @@ func (w *worker) run() {
 	// The base labels attribute every profiler sample on this goroutine
 	// to the worker; runTask overlays the stage label per task.
 	pprof.SetGoroutineLabels(w.baseCtx)
-	idleSpins := 0
-	for {
-		if w.pool.closed.Load() {
-			return
-		}
+	sweeps := 0 // consecutive empty sweeps
+	for !w.pool.closed.Load() {
 		// Proactive mask: deactivated workers nap, periodically waking to
 		// re-check (the paper's nap instruction semantics).
 		if w.id >= int(w.pool.active.Load()) {
@@ -384,29 +460,78 @@ func (w *worker) run() {
 		}
 		if t, ok := w.local.pop(); ok {
 			w.runTask(t)
-			idleSpins = 0
+			sweeps = 0
 			continue
 		}
 		// "Before a worker thread tries to steal work from another thread,
 		// it first checks the global user queue."
 		if qu, ok := w.pool.global.dequeue(); ok {
 			w.processUser(qu)
-			idleSpins = 0
+			sweeps = 0
 			continue
 		}
 		if t, ok := w.trySteal(); ok {
 			w.runTask(t)
-			idleSpins = 0
+			sweeps = 0
 			continue
 		}
-		// No work anywhere.
-		idleSpins++
-		if w.pool.cfg.NapOnIdle && idleSpins > 4 {
+		sweeps = w.idle(sweeps + 1)
+	}
+}
+
+// idle backs off after an empty sweep and returns the count of empty
+// sweeps to carry into the next one. Under NapOnIdle (the paper's IDLE
+// policy) it naps from the fifth empty sweep on, as it always has.
+// Otherwise it yields while any user is in flight on another worker —
+// that user's next stage or window fan-out is imminent, and a parked thief
+// would come back a thread wake-up late — and parks only after spinSweeps
+// empty sweeps with nothing in flight, until work is submitted or pushed.
+func (w *worker) idle(sweeps int) int {
+	switch {
+	case w.pool.cfg.NapOnIdle:
+		if sweeps > napAfterSweeps {
 			w.nap()
 		} else {
 			runtime.Gosched()
 		}
+	case w.pool.pending.Load() > 0:
+		runtime.Gosched()
+		return 0
+	case sweeps <= spinSweeps:
+		runtime.Gosched()
+	default:
+		w.park()
+		return 0
 	}
+	return sweeps
+}
+
+// park sleeps on the pool's wake channel until a submit, a push, a mask
+// change or Close sends a token. It registers in parked before its final
+// look for work, so whatever became visible before a waker read parked is
+// seen here, and whatever becomes visible after is followed by a token.
+// Parked time is charged to neither the busy nor the nap counter: the
+// worker is not deactivated, only descheduled by the Go runtime.
+func (w *worker) park() {
+	p := w.pool
+	p.parked.Add(1)
+	if !p.closed.Load() && w.id < int(p.active.Load()) && !p.hasWork() {
+		<-p.wakeCh
+	}
+	p.parked.Add(-1)
+}
+
+// hasWork reports whether any user is queued or any deque holds a task.
+func (p *Pool) hasWork() bool {
+	if p.global.size() > 0 {
+		return true
+	}
+	for _, v := range p.workers {
+		if v.local.size() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // nap models the TILEPro64 nap instruction: sleep, charge the time to the
@@ -444,22 +569,30 @@ func (w *worker) trySteal() (Task, bool) {
 	return Task{}, false
 }
 
-// runTask executes one stage task, charging its span to the busy counter,
-// the stage histogram and (sampled) the event ring, and overlaying the
-// stage pprof label while it runs. The clock is read once per edge; the
-// same readings feed the stats counter and the telemetry span.
+// runTask executes one task against this worker's arena and counts it
+// off its spawner's join, charging its span to the busy counter, the
+// stage histogram and (sampled) the event ring, and overlaying the stage
+// pprof label while it runs. The clock is read once per edge; the same
+// readings feed the stats counter and the telemetry span.
+//
+//ltephy:hotpath — runs once per stage task and turbo window.
 func (w *worker) runTask(t Task) {
 	on := w.rec.Enabled()
 	if on {
-		pprof.SetGoroutineLabels(w.stageCtx[t.stage])
+		pprof.SetGoroutineLabels(w.stageCtx[t.cls])
 	}
 	start := obs.Nanotime()
-	t.fn(w.ws)
+	if t.win != nil {
+		t.win(int(t.task))
+	} else {
+		t.stage.Run(w.ws, t.job, int(t.task))
+	}
+	t.rem.Add(-1)
 	end := obs.Nanotime()
 	w.stats.busyNanos.Add(end - start)
 	w.stats.tasksRun.Add(1)
 	if on {
-		w.rec.StageSpan(t.stage, t.seq, t.user, t.task, start, end)
+		w.rec.StageSpan(t.cls, t.seq, t.user, t.task, start, end)
 		pprof.SetGoroutineLabels(w.baseCtx)
 	}
 }
@@ -491,7 +624,7 @@ func (w *worker) processUser(qu queuedUser) {
 		if qu.fin != nil {
 			qu.fin.complete()
 		}
-		w.pool.pending.Add(-1)
+		w.pool.userDone()
 	}()
 
 	user := int32(qu.data.Params.ID)
@@ -518,9 +651,8 @@ func (w *worker) processUser(qu queuedUser) {
 	// one worker the hook would only add push/pop overhead, so the decoder
 	// runs serially — results are bit-identical either way.
 	if len(w.pool.workers) > 1 {
-		job.SetParallel(func(n int, fn func(int)) {
-			w.runWindows(qu.seq, user, n, fn)
-		})
+		w.seq, w.user = qu.seq, user
+		job.SetParallel(w.fanout)
 	}
 
 	stages := job.Stages()
@@ -568,42 +700,23 @@ func (w *worker) processUser(qu queuedUser) {
 //
 // The decoder invokes the hook from the backend stage, which runs inline
 // on the user thread — never from a stolen task — so the help loop here
-// is the only task loop active on this goroutine and the arena mark
-// discipline of processUser is undisturbed.
+// is the only task loop active on this goroutine, w.join is free, and the
+// arena mark discipline of processUser is undisturbed.
 //
-// This is the audited window-task hand-off: the pushed closures
-// reference the decoder's arena-backed window state (through fn),
-// stealing workers write disjoint slices, and the help loop joins on
-// the completion counter before processUser releases the mark.
+// This is the audited window-task hand-off: the pushed tasks carry the
+// decoder's fn, which references its arena-backed window state, stealing
+// workers write disjoint slices, and the help loop joins on the
+// completion counter before processUser releases the mark.
 //
 //ltephy:cross-worker-ok
-func (w *worker) runWindows(seq int64, user int32, n int, fn func(int)) {
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
+//ltephy:hotpath — runs once per turbo half-iteration with windows to spread.
+func (w *worker) runWindows(n int, fn func(int)) {
+	w.join.Store(int64(n))
 	for i := 0; i < n; i++ {
-		i := i
-		w.local.push(Task{
-			fn: func(*workspace.Arena) {
-				fn(i)
-				remaining.Add(-1)
-			},
-			seq: seq, user: user, task: int32(i), stage: obs.StageBackend,
-		})
+		w.local.push(Task{win: fn, rem: &w.join, seq: w.seq, user: w.user, task: int32(i), cls: obs.StageBackend})
 	}
-	for {
-		if t, ok := w.local.pop(); ok {
-			w.runTask(t)
-			continue
-		}
-		if remaining.Load() == 0 {
-			return
-		}
-		if t, ok := w.trySteal(); ok {
-			w.runTask(t)
-			continue
-		}
-		runtime.Gosched()
-	}
+	w.pool.wake(n - 1)
+	w.help()
 }
 
 // runStage pushes the stage's n tasks onto the local deque, then
@@ -611,29 +724,31 @@ func (w *worker) runWindows(seq int64, user int32, n int, fn func(int)) {
 // waiting (the paper: "the user thread waits until the results from all
 // tasks become available" while other workers may still hold stolen
 // tasks). Each task runs against the executing worker's arena.
+//
+//ltephy:hotpath — runs once per parallel stage of every user.
 func (w *worker) runStage(cls uint8, n int, s uplink.Stage, job *uplink.UserJob, seq int64, user int32) {
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
+	w.join.Store(int64(n))
 	for i := 0; i < n; i++ {
-		i := i
-		w.local.push(Task{
-			fn: func(ws *workspace.Arena) {
-				s.Run(ws, job, i)
-				remaining.Add(-1)
-			},
-			seq: seq, user: user, task: int32(i), stage: cls,
-		})
+		w.local.push(Task{stage: s, job: job, rem: &w.join, seq: seq, user: user, task: int32(i), cls: cls})
 	}
+	w.pool.wake(n - 1)
+	w.help()
+}
+
+// help is the join loop of runStage and runWindows: run our own tasks,
+// then help with anything stealable — our own stolen-back tasks or other
+// users' — until every task of the open join has completed. Tasks never
+// block, so this cannot deadlock. It waits on tasks already in flight on
+// other workers, so it yields rather than parks.
+func (w *worker) help() {
 	for {
 		if t, ok := w.local.pop(); ok {
 			w.runTask(t)
 			continue
 		}
-		if remaining.Load() == 0 {
+		if w.join.Load() == 0 {
 			return
 		}
-		// Help with anything while waiting — our own stolen-back tasks or
-		// other users' tasks; tasks never block, so this cannot deadlock.
 		if t, ok := w.trySteal(); ok {
 			w.runTask(t)
 			continue

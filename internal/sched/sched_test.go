@@ -11,26 +11,20 @@ import (
 	"ltephy/internal/obs"
 	"ltephy/internal/params"
 	"ltephy/internal/phy/modulation"
-	"ltephy/internal/phy/workspace"
 	"ltephy/internal/power"
 	"ltephy/internal/uplink"
 )
 
 func TestDequeLIFOAndFIFO(t *testing.T) {
 	var d deque
-	order := []int{}
 	for i := 0; i < 5; i++ {
-		i := i
-		d.push(Task{fn: func(*workspace.Arena) { order = append(order, i) }})
+		d.push(Task{task: int32(i)})
 	}
-	// Owner pops newest first.
+	// Owner pops newest first; thief steals oldest first.
 	ta, _ := d.pop()
-	ta.fn(nil)
-	// Thief steals oldest first.
 	tb, _ := d.steal()
-	tb.fn(nil)
-	if order[0] != 4 || order[1] != 0 {
-		t.Errorf("pop/steal order = %v, want [4 0]", order)
+	if ta.task != 4 || tb.task != 0 {
+		t.Errorf("pop/steal order = [%d %d], want [4 0]", ta.task, tb.task)
 	}
 	if d.size() != 3 {
 		t.Errorf("size = %d, want 3", d.size())
@@ -50,9 +44,12 @@ func TestDequeEmpty(t *testing.T) {
 func TestDequeConcurrentStealing(t *testing.T) {
 	var d deque
 	const n = 10000
-	var ran atomic.Int64
+	var rem atomic.Int64
+	rem.Store(n)
+	var seen [n]atomic.Int32
+	win := func(i int) { seen[i].Add(1) }
 	for i := 0; i < n; i++ {
-		d.push(Task{fn: func(*workspace.Arena) { ran.Add(1) }})
+		d.push(Task{win: win, rem: &rem, task: int32(i)})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -70,13 +67,19 @@ func TestDequeConcurrentStealing(t *testing.T) {
 				if !ok {
 					return
 				}
-				task.fn(nil)
+				task.win(int(task.task))
+				task.rem.Add(-1)
 			}
 		}(g == 0)
 	}
 	wg.Wait()
-	if ran.Load() != n {
-		t.Errorf("ran %d tasks, want %d (lost or duplicated)", ran.Load(), n)
+	if r := rem.Load(); r != 0 {
+		t.Errorf("join counter = %d after the deque emptied, want 0 (lost tasks)", r)
+	}
+	for i := range seen {
+		if c := seen[i].Load(); c != 1 {
+			t.Fatalf("task %d ran %d times, want 1", i, c)
+		}
 	}
 }
 
@@ -84,11 +87,11 @@ func TestDequeCompaction(t *testing.T) {
 	var d deque
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 200; i++ {
-			d.push(Task{fn: func(*workspace.Arena) {}})
+			d.push(Task{task: int32(i)})
 		}
 		for i := 0; i < 200; i++ {
-			if _, ok := d.steal(); !ok {
-				t.Fatal("steal failed")
+			if task, ok := d.steal(); !ok || task.task != int32(i) {
+				t.Fatalf("steal %d: got task %d ok=%v", i, task.task, ok)
 			}
 		}
 	}
