@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build loc test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-lane bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke benchmark-smoke print-govulncheck-version
+.PHONY: check vet lint build loc test race zeroalloc obs-overhead bench bench-fft bench-e2e bench-turbo bench-compare fuzz-smoke serve-smoke kpi-smoke fleet-smoke benchmark-smoke print-govulncheck-version
 
 check: lint build race zeroalloc obs-overhead fft-sweep kpi-smoke
 	$(GO) test ./...
@@ -66,11 +66,11 @@ race:
 
 # Guards the ISSUE 1 invariant: the post-warmup receiver hot path must
 # not allocate (see internal/uplink/alloc_bench_test.go) — including with
-# telemetry recording at sampling 0, 1 and 64 — and the pool's task path
-# allocates only each user's job and result payload
-# (internal/sched/alloc_test.go).
+# telemetry recording at sampling 0, 1 and 64, and at both receiver
+# widths — and the pool's task path allocates only each user's job and
+# result payload (internal/sched/alloc_test.go).
 zeroalloc:
-	$(GO) test -run TestSteadyStateZeroAlloc -count=1 ./internal/uplink/
+	$(GO) test -run 'SteadyStateZeroAlloc' -count=1 ./internal/uplink/
 	$(GO) test -run '^TestPoolSteadyStateAllocs$$' -count=1 ./internal/sched/
 
 # Telemetry overhead budget (ISSUE 4): a fully instrumented subframe at
@@ -103,12 +103,6 @@ bench-e2e:
 	LTEPHY_BENCH_E2E_OUT=$(CURDIR)/BENCH_e2e_baseline.json \
 		$(GO) test -run TestWriteE2EBenchBaseline -count=1 -v ./internal/uplink/
 
-# Lane-layout kernel baseline: re-records BENCH_lane_baseline.json (the
-# complex128 and float32 stage kernels plus the float32 subframe e2e).
-bench-lane:
-	LTEPHY_BENCH_LANE_OUT=$(CURDIR)/BENCH_lane_baseline.json \
-		$(GO) test -run TestWriteLaneBenchBaseline -count=1 -v ./internal/uplink/
-
 # Line-rate turbo baseline: re-records BENCH_turbo_baseline.json (the
 # full-turbo subframe e2e plus the int8 sliding-window kernel at K=512
 # and K=6144). CI's bench-turbo job re-records on its own hardware
@@ -126,14 +120,15 @@ bench-compare:
 		-benchmem ./internal/uplink/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkDecodeQuant' -benchmem ./internal/phy/turbo/ ) | \
 		$(GO) run ./cmd/bench-compare \
-			-baseline $(CURDIR)/BENCH_e2e_baseline.json,$(CURDIR)/BENCH_lane_baseline.json,$(CURDIR)/BENCH_turbo_baseline.json
+			-baseline $(CURDIR)/BENCH_e2e_baseline.json,$(CURDIR)/BENCH_turbo_baseline.json
 
 # Short fuzz pass over every fuzz target (~10s each): CRC append/check,
 # turbo segmentation and rate-matching round trips, the int8 decoder
-# against the float64 oracle kept in its tests, the FFT
-# forward/inverse round trip, and the front-haul frame decoder against
-# adversarial wire bytes. `go test -fuzz` takes one target per run,
-# hence the separate invocations.
+# against the float64 oracle kept in its tests, the FFT forward/inverse
+# round trip at both widths, the split-plane pack/unpack at both widths,
+# and the front-haul frame decoder against adversarial wire bytes.
+# `go test -fuzz` takes one target per run, hence the separate
+# invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendCheck$$' -fuzztime $(FUZZTIME) ./internal/phy/crc/

@@ -63,7 +63,7 @@ func run(args []string, w io.Writer) error {
 	turboIter := fs.Int("turbo-iter", 0, "max full turbo iterations per code block (0 = receiver default); CRC-gated early stop usually finishes sooner")
 	rate := fs.Float64("rate", 0, "code rate for rate-matched full-turbo mode (0 = mother rate + padding)")
 	combiner := fs.String("combiner", "mmse", "antenna combiner: mmse, zf or mrc")
-	precision := fs.String("precision", "complex128", "kernel precision: complex128 or float32 (split-plane lane layout)")
+	precision := fs.String("precision", "float64", "receiver width: float64 (default, the oracle) or float32")
 	chanest := fs.String("chanest", "windowed", "channel estimator: windowed (paper) or ls")
 	scramble := fs.Bool("scramble", false, "enable Gold-sequence bit scrambling")
 	noiseEst := fs.Bool("noise-est", false, "estimate noise variance at the receiver (no genie)")
@@ -135,7 +135,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown channel estimator %q", *chanest)
 	}
 	switch *precision {
-	case "complex128":
+	case "float64":
 	case "float32":
 		rc.Precision = uplink.PrecisionFloat32
 	default:

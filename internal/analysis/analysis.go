@@ -302,11 +302,13 @@ func arenaMethodCall(info *types.Info, call *ast.CallExpr) (name string, recv as
 }
 
 // IsArenaAllocCall reports whether call obtains a scratch slice from an
-// Arena (a method on Arena whose single result is a slice: Complex,
-// Float, Bytes today — any future typed stack matches automatically).
+// Arena: a method on Arena whose single result is a slice (Complex,
+// Float, Bytes today — any future typed stack matches automatically), or
+// a workspace function taking the Arena first that returns one — the
+// generic carve workspace.Floats[F](ws, n) by which width-generic kernels
+// draw their planes.
 func IsArenaAllocCall(info *types.Info, call *ast.CallExpr) bool {
-	_, _, ok := arenaMethodCall(info, call)
-	if !ok {
+	if _, _, ok := arenaMethodCall(info, call); !ok && !isWorkspaceCarve(info, call) {
 		return false
 	}
 	tv, found := info.Types[call]
@@ -315,6 +317,17 @@ func IsArenaAllocCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	_, isSlice := tv.Type.Underlying().(*types.Slice)
 	return isSlice
+}
+
+// isWorkspaceCarve reports whether call is to a function of the workspace
+// package whose first parameter is the Arena.
+func isWorkspaceCarve(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "workspace" {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() == nil && sig.Params().Len() > 0 && IsArena(sig.Params().At(0).Type())
 }
 
 // exprKey renders an expression to a stable identity string for matching

@@ -78,9 +78,19 @@ func isStageEntry(fd *ast.FuncDecl, fn *types.Func) bool {
 }
 
 // calleeFunc resolves the static callee of a call, or nil (interface
-// dispatch, func values, builtins, conversions).
+// dispatch, func values, builtins, conversions). An explicitly
+// instantiated generic call, f[T](…) or f[T, U](…), resolves to f: a
+// kernel whose type parameter appears only in its results can be called
+// no other way.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)
 		return fn

@@ -15,3 +15,6 @@ func (a *Arena) Bytes(n int) []uint8        { return make([]uint8, n) }
 func (a *Arena) Mark() Mark                 { return Mark{} }
 func (a *Arena) Release(m Mark)             {}
 func (a *Arena) Reset()                     {}
+
+// Floats is the generic carve: a package function, Arena first.
+func Floats[F float32 | float64](a *Arena, n int) []F { return make([]F, n) }

@@ -33,7 +33,7 @@ func randPlanesF32(r *rng.RNG, n int) (re, im []float32, c []complex128) {
 }
 
 // f32Tol is the pinned relative accuracy bound for the float32 engine
-// versus the complex128 oracle: a few float32 ulps per butterfly level,
+// versus the float64 engine: a few float32 ulps per butterfly level,
 // measured against the RMS magnitude of the reference spectrum (a
 // per-element relative bound is meaningless at spectral nulls).
 func f32Tol(n int) float64 {
@@ -67,7 +67,7 @@ func TestForwardF32MatchesComplex128(t *testing.T) {
 		want := make([]complex128, n)
 		New(n).Forward(want, src)
 
-		p := NewF32(n)
+		p := NewSplit[float32](n)
 		dstRe, dstIm := make([]float32, n), make([]float32, n)
 		p.Forward(dstRe, dstIm, srcRe, srcIm)
 		checkF32Spectrum(t, "Forward", n, dstRe, dstIm, want)
@@ -89,7 +89,7 @@ func TestInverseF32RoundTrip(t *testing.T) {
 	r := rng.New(12)
 	for _, n := range f32TestLengths {
 		srcRe, srcIm, src := randPlanesF32(r, n)
-		p := NewF32(n)
+		p := NewSplit[float32](n)
 		fre, fim := make([]float32, n), make([]float32, n)
 		p.Forward(fre, fim, srcRe, srcIm)
 		p.Inverse(fre, fim, fre, fim)
@@ -107,7 +107,7 @@ func TestInverseF32MatchesComplex128(t *testing.T) {
 		want := make([]complex128, n)
 		New(n).Inverse(want, src)
 
-		p := NewF32(n)
+		p := NewSplit[float32](n)
 		dstRe, dstIm := make([]float32, n), make([]float32, n)
 		p.InverseIn(ws, dstRe, dstIm, srcRe, srcIm)
 		checkF32Spectrum(t, "Inverse", n, dstRe, dstIm, want)
@@ -129,7 +129,7 @@ func TestBatchF32BitExact(t *testing.T) {
 			srcRe[k] = float32(r.NormFloat64())
 			srcIm[k] = float32(r.NormFloat64())
 		}
-		p := NewF32(n)
+		p := NewSplit[float32](n)
 
 		wantRe, wantIm := make([]float32, total), make([]float32, total)
 		for i := 0; i < howMany; i++ {
@@ -179,7 +179,7 @@ func TestF32ArenaPoolAgree(t *testing.T) {
 	ws := workspace.New()
 	for _, n := range []int{24, 96, 132, 1201} {
 		srcRe, srcIm, _ := randPlanesF32(r, n)
-		p := NewF32(n)
+		p := NewSplit[float32](n)
 		aRe, aIm := make([]float32, n), make([]float32, n)
 		bRe, bIm := make([]float32, n), make([]float32, n)
 		// Dirty the arena's f32 stack first so stale scratch would surface.
@@ -204,18 +204,18 @@ func TestF32ArenaPoolAgree(t *testing.T) {
 // instance.
 func TestGetF32SharedCache(t *testing.T) {
 	c1 := Get(444)
-	f1 := GetF32(444)
+	f1 := GetSplit[float32](444)
 	if c1.Len() != 444 || f1.Len() != 444 {
 		t.Fatal("cached plan has wrong length")
 	}
 	if Get(444) != c1 {
 		t.Error("Get(444) not memoised")
 	}
-	if GetF32(444) != f1 {
-		t.Error("GetF32(444) not memoised")
+	if GetSplit[float32](444) != f1 {
+		t.Error("GetSplit[float32](444) not memoised")
 	}
 	// The two precisions must not evict each other.
-	if Get(444) != c1 || GetF32(444) != f1 {
+	if Get(444) != c1 || GetSplit[float32](444) != f1 {
 		t.Error("precision entries evicted each other")
 	}
 }
@@ -223,8 +223,8 @@ func TestGetF32SharedCache(t *testing.T) {
 // TestOpsF32MatchesComplex128 pins the shared butterfly accounting.
 func TestOpsF32MatchesComplex128(t *testing.T) {
 	for _, n := range []int{1, 12, 132, 600, 1201} {
-		if c, f := New(n).Ops(), NewF32(n).Ops(); c != f {
-			t.Errorf("n=%d: Ops mismatch c128 %g vs f32 %g", n, c, f)
+		if c, f := New(n).Ops(), NewSplit[float32](n).Ops(); c != f {
+			t.Errorf("n=%d: Ops mismatch f64 %g vs f32 %g", n, c, f)
 		}
 	}
 }

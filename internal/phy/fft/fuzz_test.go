@@ -5,7 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzRoundTrip: Inverse(Forward(x)) == x for arbitrary lengths and data.
+// FuzzRoundTrip covers both instances of the engine for arbitrary lengths
+// and data: Inverse(Forward(x)) == x on the float64 one (through the
+// complex128 facade), and the float32 forward transform against the
+// float64 one on the same float32-rounded input, within the accuracy
+// sweep's pinned float32 bound.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint16(8), int64(1))
 	f.Add(uint16(97), int64(-5))
@@ -39,5 +43,15 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("n=%d: round trip error at %d: %v vs %v", n, i, back[i], src[i])
 			}
 		}
+
+		srcRe, srcIm := make([]float32, n), make([]float32, n)
+		for i, v := range src {
+			srcRe[i], srcIm[i] = float32(real(v)), float32(imag(v))
+			src[i] = complex(float64(srcRe[i]), float64(srcIm[i]))
+		}
+		p.Forward(freq, src)
+		dstRe, dstIm := make([]float32, n), make([]float32, n)
+		GetSplit[float32](n).Forward(dstRe, dstIm, srcRe, srcIm)
+		checkF32Spectrum(t, "fuzz", n, dstRe, dstIm, freq)
 	})
 }

@@ -45,7 +45,7 @@ func TestAccuracySweepAllLTELengths(t *testing.T) {
 	bluestein := 0
 	for nPRB := 2; nPRB <= 200; nPRB++ {
 		n := 12 * nPRB
-		p, pf := Get(n), GetF32(n)
+		p, pf := Get(n), GetSplit[float32](n)
 
 		direct := scheduleOps(n, radixSchedule(n))
 		_, chirp := bluesteinPlan(n)
@@ -108,8 +108,7 @@ func TestStageOddMatchesNaive(t *testing.T) {
 	for _, r := range []int{7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97} {
 		for _, g := range []struct{ m, s int }{{1, 1}, {1, 12}, {3, 4}, {5, 1}} {
 			m, s := g.m, g.s
-			st := stage{r: r, m: m, s: s, tw: stageTwiddles(r, m)}
-			st.cos, st.sin = oddRadixTables(r)
+			st := newStage[float64](r, m, s)
 			n := r * m * s
 			x := randVec(rng, n)
 			want := make([]complex128, n)
@@ -124,8 +123,16 @@ func TestStageOddMatchesNaive(t *testing.T) {
 					}
 				}
 			}
+			xr, xi := make([]float64, n), make([]float64, n)
+			for k, v := range x {
+				xr[k], xi[k] = real(v), imag(v)
+			}
+			yr, yi := make([]float64, n), make([]float64, n)
+			stageOdd(&st, yr, yi, xr, xi)
 			got := make([]complex128, n)
-			stageOdd(&st, got, x)
+			for k := range got {
+				got[k] = complex(yr[k], yi[k])
+			}
 			if d := maxAbsDiff(got, want); d > 1e-13*float64(r) {
 				t.Errorf("r=%d m=%d s=%d: max |stageOdd-naive| = %g", r, m, s, d)
 			}
@@ -135,8 +142,8 @@ func TestStageOddMatchesNaive(t *testing.T) {
 				xRe[k], xIm[k] = float32(real(v)), float32(imag(v))
 			}
 			yRe, yIm := make([]float32, n), make([]float32, n)
-			sf := narrowStage(st)
-			stageOddF32(&sf, yRe, yIm, xRe, xIm)
+			sf := newStage[float32](r, m, s)
+			stageOdd(&sf, yRe, yIm, xRe, xIm)
 			for k, v := range want {
 				got := complex(float64(yRe[k]), float64(yIm[k]))
 				if d := cmplx.Abs(got - v); d > 2e-6*float64(r) {
@@ -155,7 +162,7 @@ func TestPrimeRadixBatchBitIdentical(t *testing.T) {
 	const n, howMany, stride = 264, 5, 264 + 3
 	rng := rand.New(rand.NewSource(42))
 	ws := workspace.New()
-	p, pf := Get(n), GetF32(n)
+	p, pf := Get(n), GetSplit[float32](n)
 	if p.Bluestein() || pf.Bluestein() {
 		t.Fatalf("n=%d takes Bluestein", n)
 	}

@@ -1,33 +1,26 @@
-// Package lane implements the split-plane float32 data layout the
-// receiver hot path runs on: a complex vector stored as two separate
-// contiguous []float32 slices (the re plane and the im plane) instead of
-// an array-of-structs []complex128.
+// Package lane implements the split-plane data layout the receiver hot
+// path runs on: a complex vector stored as two separate contiguous slices
+// (the re plane and the im plane) instead of an array-of-structs
+// []complex128. Every kernel is generic over the element width
+// (workspace.Float): the receiver instantiates it at float64, its default
+// and accuracy oracle, and at float32.
 //
-// The layout is the one a base station's vector units (and the GPU
-// channel-estimation formulations in the literature) consume: every
-// kernel below is a stride-1 loop over the planes with the slice lengths
-// hoisted so the Go compiler eliminates bounds checks and can keep the
-// whole loop in registers. Against the complex128 AoS path this halves
-// memory traffic per element and removes the real/imag shuffle from every
-// load — the two effects that dominate ns/op in the transform-shaped
-// stages (chanest, combine/despread) once allocation is off the hot path.
+// Every kernel below is a stride-1 loop over the planes with the slice
+// lengths hoisted so the Go compiler eliminates bounds checks and can keep
+// the whole loop in registers. Go does not vectorise, so against the
+// interleaved layout the planes buy stride-1 loops, not SIMD width
+// (DESIGN.md §10).
 //
-// Precision contract: float32 arithmetic carries ~7 decimal digits. The
-// complex128 pipeline remains the accuracy oracle; the receiver's
-// float32 path is validated against it across the full nPRB 2..200 sweep
-// with pinned EVM-delta and LLR-divergence bounds (see
-// internal/uplink's f32 accuracy tests and DESIGN.md §10 for the
-// measured budget). Kernels that reduce over a whole vector (conjugate
-// dot, power sums) accumulate in float64 so the reduction error does not
-// grow with vector length.
+// Precision contract: each kernel performs the same operations in the same
+// order at both widths, so the float64 instance reproduces interleaved
+// complex128 arithmetic bit for bit, and the float32 one carries ~7
+// decimal digits. Kernels that reduce over a whole vector (conjugate dot,
+// difference power) accumulate in float64 at both widths so the reduction
+// error does not grow with vector length.
 //
 // Memory comes from the caller: planes are ordinary slices, typically
 // carved from a per-worker workspace.Arena via NewVecIn. All kernels are
 // allocation-free and safe for concurrent use on disjoint planes.
-//
-// One kernel is generic over the element width: HermSolve, the Hermitian
-// positive-definite solve behind every combiner, also runs at float64 —
-// as the complex128 receiver's weight solver and as this path's oracle.
 package lane
 
 import (
@@ -38,8 +31,8 @@ import (
 
 // Vec is a split-plane complex vector: element k is
 // complex(Re[k], Im[k]). Both planes always have equal length.
-type Vec struct {
-	Re, Im []float32
+type Vec[F workspace.Float] struct {
+	Re, Im []F
 }
 
 // NewVecIn carves a zeroed n-element vector from ws (heap when nil).
@@ -47,39 +40,31 @@ type Vec struct {
 // vector's lifetime with its own Mark/Release.
 //
 //ltephy:owns-scratch — carve constructor: the caller brackets the
-func NewVecIn(ws *workspace.Arena, n int) Vec {
-	return Vec{Re: ws.Float32(n), Im: ws.Float32(n)}
-}
-
-// Len returns the vector length.
-func (v Vec) Len() int { return len(v.Re) }
-
-// Slice returns the sub-vector [lo, hi) sharing the same planes.
-func (v Vec) Slice(lo, hi int) Vec {
-	return Vec{Re: v.Re[lo:hi], Im: v.Im[lo:hi]}
+func NewVecIn[F workspace.Float](ws *workspace.Arena, n int) Vec[F] {
+	return Vec[F]{Re: workspace.Floats[F](ws, n), Im: workspace.Floats[F](ws, n)}
 }
 
 // Pack converts an interleaved complex128 vector into split planes,
-// rounding each component to float32. dre and dim must have the same
-// length as src — this is the only conversion point between the
-// complex128 world and the lane layout (the "job boundary" of the
-// receiver's float32 path).
-func Pack(dre, dim []float32, src []complex128) {
+// rounding each component to F (exact at float64). dre and dim must have
+// the same length as src — this is the only conversion point between the
+// complex128 world and the lane layout (the receiver's job boundary).
+func Pack[F workspace.Float](dre, dim []F, src []complex128) {
 	n := len(src)
 	dre = dre[:n]
 	dim = dim[:n]
 	for k := 0; k < n; k++ {
 		v := src[k]
-		dre[k] = float32(real(v))
-		dim[k] = float32(imag(v))
+		dre[k] = F(real(v))
+		dim[k] = F(imag(v))
 	}
 }
 
 // Unpack converts split planes back to an interleaved complex128 vector.
-// A Pack/Unpack round trip starting from float32-representable values is
-// bit-exact: float32 -> float64 -> float32 is the identity conversion
-// (FuzzLanePackUnpack pins this for all lengths including odd tails).
-func Unpack(dst []complex128, sre, sim []float32) {
+// A Pack/Unpack round trip starting from F-representable values is
+// bit-exact: widening to float64 and narrowing back is the identity
+// conversion (FuzzLanePackUnpack pins this for all lengths including odd
+// tails).
+func Unpack[F workspace.Float](dst []complex128, sre, sim []F) {
 	n := len(dst)
 	sre = sre[:n]
 	sim = sim[:n]
@@ -88,30 +73,10 @@ func Unpack(dst []complex128, sre, sim []float32) {
 	}
 }
 
-// PackVec is Pack onto a Vec.
-func PackVec(dst Vec, src []complex128) { Pack(dst.Re, dst.Im, src) }
-
-// UnpackVec is Unpack from a Vec.
-func UnpackVec(dst []complex128, src Vec) { Unpack(dst, src.Re, src.Im) }
-
-// Mul computes d = a * b elementwise (complex multiply on planes).
-func Mul(dre, dim, are, aim, bre, bim []float32) {
-	n := len(dre)
-	dim = dim[:n]
-	are, aim = are[:n], aim[:n]
-	bre, bim = bre[:n], bim[:n]
-	for k := 0; k < n; k++ {
-		ar, ai := are[k], aim[k]
-		br, bi := bre[k], bim[k]
-		dre[k] = ar*br - ai*bi
-		dim[k] = ar*bi + ai*br
-	}
-}
-
 // MulConj computes d = a * conj(b) elementwise — the matched-filter
 // kernel (unit-modulus reference, so conjugate multiply inverts the
 // known sequence).
-func MulConj(dre, dim, are, aim, bre, bim []float32) {
+func MulConj[F workspace.Float](dre, dim, are, aim, bre, bim []F) {
 	n := len(dre)
 	dim = dim[:n]
 	are, aim = are[:n], aim[:n]
@@ -127,7 +92,7 @@ func MulConj(dre, dim, are, aim, bre, bim []float32) {
 // MulAcc computes d += a * b elementwise — the antenna-combining
 // multiply-accumulate: the combiner output accumulates one antenna's
 // weighted contribution per call, stride-1 over subcarriers.
-func MulAcc(dre, dim, are, aim, bre, bim []float32) {
+func MulAcc[F workspace.Float](dre, dim, are, aim, bre, bim []F) {
 	n := len(dre)
 	dim = dim[:n]
 	are, aim = are[:n], aim[:n]
@@ -140,36 +105,9 @@ func MulAcc(dre, dim, are, aim, bre, bim []float32) {
 	}
 }
 
-// MulConjAcc computes d += a * conj(b) elementwise.
-func MulConjAcc(dre, dim, are, aim, bre, bim []float32) {
-	n := len(dre)
-	dim = dim[:n]
-	are, aim = are[:n], aim[:n]
-	bre, bim = bre[:n], bim[:n]
-	for k := 0; k < n; k++ {
-		ar, ai := are[k], aim[k]
-		br, bi := bre[k], bim[k]
-		dre[k] += ar*br + ai*bi
-		dim[k] += ai*br - ar*bi
-	}
-}
-
-// Axpy computes y += (ar + i*ai) * x: scaled vector accumulate with a
-// scalar complex coefficient.
-func Axpy(ar, ai float32, xre, xim, yre, yim []float32) {
-	n := len(yre)
-	yim = yim[:n]
-	xre, xim = xre[:n], xim[:n]
-	for k := 0; k < n; k++ {
-		xr, xi := xre[k], xim[k]
-		yre[k] += ar*xr - ai*xi
-		yim[k] += ar*xi + ai*xr
-	}
-}
-
 // Scale multiplies both planes by the real scalar s in place (the
-// despread 1/sqrt(N) undo, inverse-transform normalisation).
-func Scale(s float32, re, im []float32) {
+// despread sqrt(N) undo).
+func Scale[F workspace.Float](s F, re, im []F) {
 	n := len(re)
 	im = im[:n]
 	for k := 0; k < n; k++ {
@@ -182,7 +120,7 @@ func Scale(s float32, re, im []float32) {
 
 // ScaleC multiplies the vector by the complex scalar (cr + i*ci) in
 // place — the residual-CFO de-rotation by a unit phasor.
-func ScaleC(cr, ci float32, re, im []float32) {
+func ScaleC[F workspace.Float](cr, ci F, re, im []F) {
 	n := len(re)
 	im = im[:n]
 	for k := 0; k < n; k++ {
@@ -192,32 +130,9 @@ func ScaleC(cr, ci float32, re, im []float32) {
 	}
 }
 
-// Mag2 writes the squared magnitude of each element into dst.
-func Mag2(dst, re, im []float32) {
-	n := len(dst)
-	re, im = re[:n], im[:n]
-	for k := 0; k < n; k++ {
-		r, i := re[k], im[k]
-		dst[k] = r*r + i*i
-	}
-}
-
-// SumMag2 returns the total power sum |v[k]|^2, accumulated in float64
-// so the reduction does not lose precision with vector length.
-func SumMag2(re, im []float32) float64 {
-	n := len(re)
-	im = im[:n]
-	var sum float64
-	for k := 0; k < n; k++ {
-		r, i := float64(re[k]), float64(im[k])
-		sum += r*r + i*i
-	}
-	return sum
-}
-
 // DotConj returns sum_k a[k] * conj(b[k]) with float64 accumulation —
 // the correlation reduction behind the CFO estimate.
-func DotConj(are, aim, bre, bim []float32) (re, im float64) {
+func DotConj[F workspace.Float](are, aim, bre, bim []F) (re, im float64) {
 	n := len(are)
 	aim = aim[:n]
 	bre, bim = bre[:n], bim[:n]
@@ -232,7 +147,7 @@ func DotConj(are, aim, bre, bim []float32) (re, im float64) {
 
 // SumDiffMag2 returns sum_k |a[k] - b[k]|^2 with float64 accumulation —
 // the slot-difference power behind the noise-variance estimate.
-func SumDiffMag2(are, aim, bre, bim []float32) float64 {
+func SumDiffMag2[F workspace.Float](are, aim, bre, bim []F) float64 {
 	n := len(are)
 	aim = aim[:n]
 	bre, bim = bre[:n], bim[:n]
@@ -258,12 +173,10 @@ const maxHermDim = 8
 // diagonally loaded Gram (or covariance) matrix, structurally Hermitian
 // positive definite, so it is a Cholesky factorisation A = L L^H followed
 // by forward and back substitution, unrolled to closed forms for orders 1
-// and 2. The float32 instantiation is the lane hot path; the float64 one
-// is the complex128 receiver's solver and the float32 path's oracle — the
-// same code at the other width. It returns false when a pivot is not
-// positive (a numerically singular or NaN channel) and the caller zeroes
-// its output. n must be <= 8.
-func HermSolve[T float32 | float64](n, m int, aRe, aIm, bRe, bIm, xRe, xIm []T) bool {
+// and 2. It returns false when a pivot is not positive (a numerically
+// singular or NaN channel) and the caller zeroes its output. n must be
+// <= 8.
+func HermSolve[T workspace.Float](n, m int, aRe, aIm, bRe, bIm, xRe, xIm []T) bool {
 	switch n {
 	case 1:
 		d := aRe[0]

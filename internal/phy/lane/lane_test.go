@@ -35,45 +35,35 @@ func checkClose(t *testing.T, name string, re, im []float32, want []complex128, 
 	}
 }
 
+// TestElementwiseKernels checks the float32 instance against complex128
+// within float32 rounding, and the float64 instance against Go's own
+// complex128 arithmetic bit for bit — the property the receiver's float64
+// path rests on.
 func TestElementwiseKernels(t *testing.T) {
 	r := rng.New(1)
+	rot := cmplx.Exp(complex(0, 0.7))
 	for _, n := range []int{1, 7, 24, 101} {
 		are, aim, a := randVecs(r, n)
 		bre, bim, b := randVecs(r, n)
 		want := make([]complex128, n)
 		dre, dim := make([]float32, n), make([]float32, n)
 
-		Mul(dre, dim, are, aim, bre, bim)
-		for k := range want {
-			want[k] = a[k] * b[k]
-		}
-		checkClose(t, "Mul", dre, dim, want, 1e-6)
-
 		MulConj(dre, dim, are, aim, bre, bim)
 		for k := range want {
 			want[k] = a[k] * cmplx.Conj(b[k])
 		}
 		checkClose(t, "MulConj", dre, dim, want, 1e-6)
+		d64re, d64im := make([]float64, n), make([]float64, n)
+		MulConj(d64re, d64im, widen(are), widen(aim), widen(bre), widen(bim))
+		checkExact(t, "MulConj", d64re, d64im, want)
 
 		MulAcc(dre, dim, are, aim, bre, bim)
+		MulAcc(d64re, d64im, widen(are), widen(aim), widen(bre), widen(bim))
 		for k := range want {
 			want[k] += a[k] * b[k]
 		}
 		checkClose(t, "MulAcc", dre, dim, want, 1e-5)
-
-		MulConjAcc(dre, dim, are, aim, bre, bim)
-		for k := range want {
-			want[k] += a[k] * cmplx.Conj(b[k])
-		}
-		checkClose(t, "MulConjAcc", dre, dim, want, 1e-5)
-
-		alpha := complex(0.75, -1.25)
-		yre, yim := append([]float32(nil), bre...), append([]float32(nil), bim...)
-		Axpy(float32(real(alpha)), float32(imag(alpha)), are, aim, yre, yim)
-		for k := range want {
-			want[k] = b[k] + alpha*a[k]
-		}
-		checkClose(t, "Axpy", yre, yim, want, 1e-5)
+		checkExact(t, "MulAcc", d64re, d64im, want)
 
 		sre, sim := append([]float32(nil), are...), append([]float32(nil), aim...)
 		Scale(0.5, sre, sim)
@@ -82,42 +72,51 @@ func TestElementwiseKernels(t *testing.T) {
 		}
 		checkClose(t, "Scale", sre, sim, want, 1e-6)
 
-		rot := cmplx.Exp(complex(0, 0.7))
 		sre, sim = append([]float32(nil), are...), append([]float32(nil), aim...)
 		ScaleC(float32(real(rot)), float32(imag(rot)), sre, sim)
+		s64re, s64im := widen(are), widen(aim)
+		ScaleC(real(rot), imag(rot), s64re, s64im)
 		for k := range want {
 			want[k] = a[k] * rot
 		}
 		checkClose(t, "ScaleC", sre, sim, want, 1e-5)
+		checkExact(t, "ScaleC", s64re, s64im, want)
+	}
+}
 
-		mag := make([]float32, n)
-		Mag2(mag, are, aim)
-		for k := range a {
-			w := real(a[k])*real(a[k]) + imag(a[k])*imag(a[k])
-			if d := math.Abs(float64(mag[k]) - w); d > 1e-6*(1+w) {
-				t.Fatalf("Mag2[%d] = %g, want %g", k, mag[k], w)
-			}
+// widen returns a float64 copy of a float32 plane.
+func widen(v []float32) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+// checkExact compares float64 planes against complex128 values bit for bit.
+func checkExact(t *testing.T, name string, re, im []float64, want []complex128) {
+	t.Helper()
+	for k, w := range want {
+		if math.Float64bits(re[k]) != math.Float64bits(real(w)) || math.Float64bits(im[k]) != math.Float64bits(imag(w)) {
+			t.Fatalf("float64 %s[%d] = (%g, %g), complex128 gives %v", name, k, re[k], im[k], w)
 		}
 	}
 }
 
+// TestReductions pins both reductions at both widths; the float64 instance
+// matches the interleaved complex128 accumulation bit for bit.
 func TestReductions(t *testing.T) {
 	r := rng.New(2)
 	n := 301
 	are, aim, a := randVecs(r, n)
 	bre, bim, b := randVecs(r, n)
 
-	var wantPow float64
 	var wantDot complex128
 	var wantDiff float64
 	for k := range a {
-		wantPow += real(a[k])*real(a[k]) + imag(a[k])*imag(a[k])
 		wantDot += a[k] * cmplx.Conj(b[k])
 		d := a[k] - b[k]
 		wantDiff += real(d)*real(d) + imag(d)*imag(d)
-	}
-	if got := SumMag2(are, aim); math.Abs(got-wantPow) > 1e-4*(1+wantPow) {
-		t.Errorf("SumMag2 = %g, want %g", got, wantPow)
 	}
 	dr, di := DotConj(are, aim, bre, bim)
 	if cmplx.Abs(complex(dr, di)-wantDot) > 1e-4*(1+cmplx.Abs(wantDot)) {
@@ -125,6 +124,12 @@ func TestReductions(t *testing.T) {
 	}
 	if got := SumDiffMag2(are, aim, bre, bim); math.Abs(got-wantDiff) > 1e-4*(1+wantDiff) {
 		t.Errorf("SumDiffMag2 = %g, want %g", got, wantDiff)
+	}
+	if dr, di := DotConj(widen(are), widen(aim), widen(bre), widen(bim)); complex(dr, di) != wantDot {
+		t.Errorf("float64 DotConj = (%g, %g), complex128 gives %v", dr, di, wantDot)
+	}
+	if got := SumDiffMag2(widen(are), widen(aim), widen(bre), widen(bim)); got != wantDiff {
+		t.Errorf("float64 SumDiffMag2 = %g, complex128 gives %g", got, wantDiff)
 	}
 }
 
@@ -237,7 +242,7 @@ func splitPlanes(v []complex128) (re, im []float64) {
 }
 
 // TestHermSolveFloat64MatchesGaussJordan pins the float64 instantiation —
-// the complex128 receiver's solver, and the oracle the float32 one is
+// the default receiver's solver, and the oracle the float32 one is
 // measured against — to the pivoted Gauss-Jordan solve at every order:
 // well conditioned to 1e-12, and on a rank-1 Gram held up by a loading of
 // 1e-12 (condition ~1e13) through the residual A X - B, which a backward
@@ -320,19 +325,15 @@ func TestHermSolveSingular(t *testing.T) {
 func TestVecArena(t *testing.T) {
 	ws := workspace.New()
 	m := ws.Mark()
-	v := NewVecIn(ws, 17)
-	if v.Len() != 17 || len(v.Im) != 17 {
+	v := NewVecIn[float32](ws, 17)
+	if len(v.Re) != 17 || len(v.Im) != 17 {
 		t.Fatalf("NewVecIn planes %d/%d, want 17", len(v.Re), len(v.Im))
-	}
-	s := v.Slice(3, 9)
-	if s.Len() != 6 {
-		t.Fatalf("Slice len %d, want 6", s.Len())
 	}
 	ws.Release(m)
 
-	hv := NewVecIn(nil, 5)
-	if hv.Len() != 5 {
-		t.Fatalf("nil-arena NewVecIn len %d, want 5", hv.Len())
+	hv := NewVecIn[float64](nil, 5)
+	if len(hv.Re) != 5 || len(hv.Im) != 5 {
+		t.Fatalf("nil-arena NewVecIn planes %d/%d, want 5", len(hv.Re), len(hv.Im))
 	}
 }
 

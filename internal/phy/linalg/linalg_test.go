@@ -166,7 +166,7 @@ func TestOracleInvertRoundTrip(t *testing.T) {
 }
 
 // TestMMSESolveMatchesGaussJordan pins the float64 instantiation — the
-// complex128 receiver's solver and the float32 path's oracle — against the
+// default receiver's solver and the float32 one's oracle — against the
 // explicit-inverse form over the receiver's shape range: well conditioned,
 // and rank-deficient channels held up only by nv = 1e-12, where W is
 // checked through the identity it must satisfy, (H^H H + nv I) W = H^H.

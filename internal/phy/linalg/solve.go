@@ -1,8 +1,8 @@
 // Split-plane weight solves: the per-subcarrier MMSE and IRC combining
 // solutions over row-major re/im planes (the internal/phy/lane layout),
-// generic over the element width. Both receivers run this code — the
-// float32 lane path directly, the complex128 path at float64 — so the
-// float64 instantiation is the float32 path's oracle. The solves exploit
+// generic over the element width. The receiver runs it at both of its
+// widths, so the float64 instantiation is the float32 one's oracle. The
+// solves exploit
 // the structure the receiver guarantees: the regularised Gram and the
 // diagonally loaded covariance are Hermitian positive definite, so only
 // the lower triangle is built and lane.HermSolve factors it by Cholesky

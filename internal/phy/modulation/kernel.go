@@ -5,8 +5,9 @@ import (
 	"unsafe"
 )
 
-// float is the element type the axis kernel is instantiated at: float64
-// for the complex128 receiver, float32 for the split-plane one.
+// float is the element type the axis kernel computes in: float64 for the
+// complex128 entry points and the float64 receiver, float32 for the
+// float32 receiver.
 type float interface{ float32 | float64 }
 
 // abs and copysign work on T's own sign bit. unsafe.Sizeof is a constant
@@ -32,7 +33,9 @@ func copysign[T float](mag, sign T) T {
 // scheme's unit level a and the LLR scale k = 4a/noiseVar, writes the axis
 // bits' LLRs to o[0], o[2], ... (a symbol's I and Q bits interleave, so
 // the caller passes o and o[1:]) and returns the squared distance from y to
-// the nearest axis level. Everything is a function of the fold chain
+// the nearest axis level. The LLRs are computed in T and stored widened to
+// float64 — exact — because the decoder and HARQ take float64 at either
+// width. Everything is a function of the fold chain
 //
 //	u = |y|,  m1 = u - (L/2)a,  m2 = |m1| - (L/4)a,  ...,  e = |m_last| - a
 //
@@ -45,8 +48,8 @@ func copysign[T float](mag, sign T) T {
 // -k·m, so the sign — the hard decision — carries no rounding of its own.
 
 // axis2 is the QPSK axis, levels ±a: LLR(b0) = ((y+a)² - (y-a)²)/nv = k·y.
-func axis2[T float](o []T, y, a, k T) T {
-	o[0] = k * y
+func axis2[T float](o []float64, y, a, k T) T {
+	o[0] = float64(k * y)
 	e := abs(y) - a
 	return e * e
 }
@@ -56,13 +59,13 @@ func axis2[T float](o []T, y, a, k T) T {
 //	LLR(b0)·nv = 4a·y             |y| < 2a   (nearest +a vs -a)
 //	             8a·(|y|-a)·sgn y |y| ≥ 2a   (nearest +3a vs -a)
 //	LLR(b1)·nv = (|y|-3a)² - (|y|-a)² = 4a·(2a-|y|)
-func axis4[T float](o []T, y, a, k T) T {
+func axis4[T float](o []float64, y, a, k T) T {
 	_ = o[2]
 	u := abs(y)
 	m := u - 2*a
 	v := abs(m)
-	o[0] = copysign(k*(u+(m+v)/2), y)
-	o[2] = -k * m
+	o[0] = float64(copysign(k*(u+(m+v)/2), y))
+	o[2] = float64(-k * m)
 	e := v - a
 	return e * e
 }
@@ -77,7 +80,7 @@ func axis4[T float](o []T, y, a, k T) T {
 // In fold terms m1 = u-4a, m2 = |m1|-2a: LLR(b2) = -k·m2, LLR(b1) =
 // -k·(m1 + sgn m1 · relu(m2)), and relu(u-2a) + relu(u-6a) =
 // (m1+2a) + relu(m2), which cancels exactly for u < 2a.
-func axis6[T float](o []T, y, a, k T) T {
+func axis6[T float](o []float64, y, a, k T) T {
 	_ = o[4]
 	u := abs(y)
 	m1 := u - 4*a
@@ -85,9 +88,9 @@ func axis6[T float](o []T, y, a, k T) T {
 	m2 := v1 - 2*a
 	v2 := abs(m2)
 	r2 := (m2 + v2) / 2
-	o[0] = copysign(k*(u+(m1+v1)/2+((m1+2*a)+r2)), y)
-	o[2] = -k * (m1 + copysign(r2, m1))
-	o[4] = -k * m2
+	o[0] = float64(copysign(k*(u+(m1+v1)/2+((m1+2*a)+r2)), y))
+	o[2] = float64(-k * (m1 + copysign(r2, m1)))
+	o[4] = float64(-k * m2)
 	e := v2 - a
 	return e * e
 }

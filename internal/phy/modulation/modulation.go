@@ -189,6 +189,47 @@ func (s Scheme) DemapEVM(dst []float64, syms []complex128, noiseVar float64) (ll
 	return dst, rms(s.demapEVM(dst[n:], syms, noiseVar), len(syms))
 }
 
+// DemapEVMPlanes is DemapEVM over split-plane symbols (symRe[i],
+// symIm[i]) at element width F — the receiver's entry. The axis kernel
+// runs in F and its LLRs are stored widened to float64, appended to dst;
+// the per-symbol squared distances are accumulated in float64, so the
+// EVM's reduction over a whole allocation does not lose precision. At
+// float64 it is DemapEVM bit for bit. noiseVar must be > 0 and the planes
+// of equal length.
+func DemapEVMPlanes[F float](s Scheme, dst []float64, symRe, symIm []F, noiseVar F) (llr []float64, evm float64) {
+	if !(noiseVar > 0) {
+		panic(fmt.Sprintf("modulation: non-positive noise variance %g", noiseVar))
+	}
+	if len(symRe) != len(symIm) {
+		panic(fmt.Sprintf("modulation: plane lengths %d/%d differ", len(symRe), len(symIm)))
+	}
+	n, bits := len(dst), s.Bits()*len(symRe)
+	dst = slices.Grow(dst, bits)[:n+bits]
+	out := dst[n:]
+	a := F(unit[s])
+	k := 4 * a / noiseVar
+	symIm = symIm[:len(symRe)]
+	var errPow float64
+	switch s {
+	case QPSK:
+		for i, yI := range symRe {
+			o := out[2*i : 2*i+2]
+			errPow += float64(axis2(o, yI, a, k)) + float64(axis2(o[1:], symIm[i], a, k))
+		}
+	case QAM16:
+		for i, yI := range symRe {
+			o := out[4*i : 4*i+4]
+			errPow += float64(axis4(o, yI, a, k)) + float64(axis4(o[1:], symIm[i], a, k))
+		}
+	case QAM64:
+		for i, yI := range symRe {
+			o := out[6*i : 6*i+6]
+			errPow += float64(axis6(o, yI, a, k)) + float64(axis6(o[1:], symIm[i], a, k))
+		}
+	}
+	return dst, rms(errPow, len(symRe))
+}
+
 // rms turns a summed squared error over n symbols into the EVM.
 func rms(errPow float64, n int) float64 {
 	if n == 0 {
@@ -223,7 +264,7 @@ func (s Scheme) demapEVM(out []float64, syms []complex128, noiseVar float64) (er
 	return errPow
 }
 
-// evmChunk is how many symbols EVM and EVMF32 hand the kernel at a time.
+// evmChunk is how many symbols EVM hands the kernel at a time.
 const evmChunk = 64
 
 // Demap is DemapEVM without the EVM.

@@ -290,7 +290,7 @@ func nearBoundary[T float](s Scheme, y T) bool {
 // ulp of a decision boundary, LLRs within llrTol, and the fused EVM equal to
 // both the oracle's and evm's (the standalone EVM of the same symbols).
 func checkAgainstExhaustive[T float](t *testing.T, s Scheme, re, im []T, noiseVar T,
-	demap func() ([]T, float64), evm func() float64) {
+	demap func() ([]float64, float64), evm func() float64) {
 	t.Helper()
 	q := s.Bits()
 	got, gotEVM := demap()

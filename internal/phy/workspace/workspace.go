@@ -45,6 +45,8 @@
 // paths) share the same implementation.
 package workspace
 
+import "unsafe"
+
 // chunkMin is the smallest chunk a stack allocates, in elements. Chosen so
 // a couple of small requests don't fragment into many tiny chunks.
 const chunkMin = 1 << 10
@@ -168,6 +170,25 @@ func (a *Arena) Float32(n int) []float32 {
 		return make([]float32, n)
 	}
 	return a.f32.grab(n)
+}
+
+// Float is the element constraint of the split-plane receiver: its
+// kernels are written once and instantiated at float64 (the default
+// receiver and accuracy oracle) and float32.
+type Float interface{ float32 | float64 }
+
+// Floats returns a zeroed []F of length n (capacity n) from the stack of
+// F's width — Float32 or Float — so generic kernels carve without knowing
+// their width. The slice header is reinterpreted, never boxed, so the
+// carve stays allocation-free.
+func Floats[F Float](a *Arena, n int) []F {
+	var z F
+	if unsafe.Sizeof(z) == 4 {
+		s := a.Float32(n)
+		return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+	}
+	s := a.Float(n)
+	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // Bytes returns a zeroed []uint8 of length n (capacity n). On a nil Arena

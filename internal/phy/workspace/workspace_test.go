@@ -127,3 +127,37 @@ func TestLargeRequestAfterSmallChunk(t *testing.T) {
 		t.Fatal("large request after reset failed")
 	}
 }
+
+// TestFloatsCarvesByWidth pins the generic carve: each width draws from
+// its own stack (a float32 carve does not move the float64 stack), the
+// slice is zeroed with capacity n, a nil arena falls back to make, and a
+// steady-state carve allocates nothing.
+func TestFloatsCarvesByWidth(t *testing.T) {
+	a := New()
+	m := a.Mark()
+	f32 := Floats[float32](a, 7)
+	f32[0] = 1
+	if a.f64.off != 0 || a.f32.off != 7 {
+		t.Fatalf("float32 carve moved stacks to f32=%d f64=%d", a.f32.off, a.f64.off)
+	}
+	f64 := Floats[float64](a, 5)
+	if len(f64) != 5 || cap(f64) != 5 || a.f64.off != 5 {
+		t.Fatalf("float64 carve: len %d cap %d f64 offset %d", len(f64), cap(f64), a.f64.off)
+	}
+	a.Release(m)
+	if again := Floats[float32](a, 7); again[0] != 0 {
+		t.Fatal("re-carved float32 plane not zeroed")
+	}
+	if got := Floats[float64](nil, 3); len(got) != 3 {
+		t.Fatalf("nil-arena carve has %d elements, want 3", len(got))
+	}
+	a.Reset()
+	if allocs := testing.AllocsPerRun(100, func() {
+		m := a.Mark()
+		_ = Floats[float32](a, 64)
+		_ = Floats[float64](a, 64)
+		a.Release(m)
+	}); allocs != 0 {
+		t.Errorf("steady-state generic carve allocates %.1f times", allocs)
+	}
+}

@@ -11,8 +11,8 @@ import (
 	"ltephy/internal/uplink/tx"
 )
 
-// Float32 lane-path validation: the complex128 pipeline is the accuracy
-// oracle (DESIGN.md §10). Every test here runs the same captured user
+// Float32 instance validation: the float64 instance of the same code is
+// the accuracy oracle (DESIGN.md §10). Every test here runs the same captured user
 // data through both precisions and pins the divergence.
 
 // runJobSoftBits drives one user through all four stages with heap
@@ -41,7 +41,7 @@ func runJobSoftBits(t testing.TB, rc uplink.ReceiverConfig, u *uplink.UserData) 
 func TestF32SweepMatchesComplex128(t *testing.T) {
 	cfg := tx.DefaultConfig()
 	const (
-		maxEVMDelta = 1e-4 // |EVM_f32 - EVM_c128|, absolute
+		maxEVMDelta = 1e-4 // |EVM_f32 - EVM_f64|, absolute
 		maxLLRDiv   = 5e-3 // max_i |Δllr_i| / (1 + |llr_i|)
 	)
 	step := 1
@@ -65,7 +65,7 @@ func TestF32SweepMatchesComplex128(t *testing.T) {
 			worstEVM, worstEVMPRB = d, prb
 		}
 		if len(llr32) != len(llr64) {
-			t.Fatalf("nPRB %d: %d f32 LLRs vs %d c128", prb, len(llr32), len(llr64))
+			t.Fatalf("nPRB %d: %d f32 LLRs vs %d f64", prb, len(llr32), len(llr64))
 		}
 		for i := range llr64 {
 			if d := math.Abs(llr32[i]-llr64[i]) / (1 + math.Abs(llr64[i])); d > worstLLR {
@@ -73,7 +73,7 @@ func TestF32SweepMatchesComplex128(t *testing.T) {
 			}
 		}
 		if res32.CRCOK != res64.CRCOK {
-			t.Errorf("nPRB %d: f32 CRC %v, c128 CRC %v", prb, res32.CRCOK, res64.CRCOK)
+			t.Errorf("nPRB %d: f32 CRC %v, f64 CRC %v", prb, res32.CRCOK, res64.CRCOK)
 		}
 		if len(res32.Bits) != len(res64.Bits) {
 			t.Fatalf("nPRB %d: payload lengths differ", prb)
@@ -85,7 +85,7 @@ func TestF32SweepMatchesComplex128(t *testing.T) {
 			}
 		}
 		if d := math.Abs(res32.ChannelMSE - res64.ChannelMSE); d > 1e-4*(1+res64.ChannelMSE) {
-			t.Errorf("nPRB %d: channel MSE %g (f32) vs %g (c128)", prb, res32.ChannelMSE, res64.ChannelMSE)
+			t.Errorf("nPRB %d: channel MSE %g (f32) vs %g (f64)", prb, res32.ChannelMSE, res64.ChannelMSE)
 		}
 	}
 	t.Logf("worst EVM delta %.3g (nPRB %d), worst relative LLR divergence %.3g (nPRB %d)",
@@ -148,9 +148,9 @@ func TestF32LLRSignFlipAtLowSNR(t *testing.T) {
 
 // TestF32ModuleMatrix runs every estimator/combiner registry entry (plus
 // the estimated-noise, CFO-correction, scrambling and full-turbo paths)
-// at float32 and checks each against its complex128 twin — all the f32
-// stage kernels, including IRC covariance whitening and the LS
-// estimator, stay on-oracle.
+// at float32 and checks each against the float64 instance — every stage
+// kernel, including IRC covariance whitening and the LS estimator, stays
+// on-oracle at the narrow width.
 func TestF32ModuleMatrix(t *testing.T) {
 	base := tx.DefaultConfig()
 	cases := []struct {
@@ -187,7 +187,7 @@ func TestF32ModuleMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res32.CRCOK != res64.CRCOK {
-				t.Errorf("CRC %v (f32) vs %v (c128)", res32.CRCOK, res64.CRCOK)
+				t.Errorf("CRC %v (f32) vs %v (f64)", res32.CRCOK, res64.CRCOK)
 			}
 			for i := range res64.Bits {
 				if res32.Bits[i] != res64.Bits[i] {
@@ -196,17 +196,17 @@ func TestF32ModuleMatrix(t *testing.T) {
 				}
 			}
 			if d := math.Abs(res32.EVM - res64.EVM); d > 1e-3 {
-				t.Errorf("EVM %g (f32) vs %g (c128)", res32.EVM, res64.EVM)
+				t.Errorf("EVM %g (f32) vs %g (f64)", res32.EVM, res64.EVM)
 			}
 			if d := math.Abs(res32.NoiseVarEst - res64.NoiseVarEst); d > 1e-6*(1+res64.NoiseVarEst) {
-				t.Errorf("noise estimate %g (f32) vs %g (c128)", res32.NoiseVarEst, res64.NoiseVarEst)
+				t.Errorf("noise estimate %g (f32) vs %g (f64)", res32.NoiseVarEst, res64.NoiseVarEst)
 			}
 		})
 	}
 }
 
-// TestF32Deterministic: the float32 path must be bit-reproducible run to
-// run, exactly like the complex128 path.
+// TestF32Deterministic: the float32 instance must be bit-reproducible run
+// to run, exactly like the float64 one.
 func TestF32Deterministic(t *testing.T) {
 	cfg := tx.DefaultConfig()
 	cfg.Receiver.Precision = uplink.PrecisionFloat32
@@ -228,10 +228,10 @@ func TestF32Deterministic(t *testing.T) {
 	}
 }
 
-// TestF32SteadyStateZeroAlloc is TestSteadyStateZeroAlloc on the float32
-// lane path: after warm-up, a full subframe — split-plane packing, f32
-// transforms, Cholesky solves, f32 demap and the LLR widening — performs
-// zero heap allocations.
+// TestF32SteadyStateZeroAlloc is TestSteadyStateZeroAlloc at float32:
+// after warm-up, a full subframe — split-plane packing, f32 transforms,
+// Cholesky solves, the f32 demap into float64 LLRs — performs zero heap
+// allocations.
 func TestF32SteadyStateZeroAlloc(t *testing.T) {
 	rc := uplink.DefaultConfig()
 	rc.Precision = uplink.PrecisionFloat32
@@ -273,7 +273,7 @@ func TestF32SteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchChanEstJobF32 is benchChanEstJob with the float32 lane path on.
+// benchChanEstJobF32 is benchChanEstJob at float32.
 func benchChanEstJobF32(tb testing.TB, stages int) (*workspace.Arena, *uplink.UserJob) {
 	tb.Helper()
 	rc := uplink.DefaultConfig()
@@ -302,7 +302,7 @@ func BenchmarkChanEstStageF32(b *testing.B) {
 	}
 }
 
-// BenchmarkDataStageF32 is BenchmarkDataStage on the float32 lane path.
+// BenchmarkDataStageF32 is BenchmarkDataStage at float32.
 func BenchmarkDataStageF32(b *testing.B) {
 	ws, j := benchChanEstJobF32(b, 2)
 	b.ReportAllocs()
@@ -313,7 +313,7 @@ func BenchmarkDataStageF32(b *testing.B) {
 }
 
 // BenchmarkSubframeE2EF32 is the full-subframe benchmark at float32; the
-// allocs/op budget is identical to the complex128 path's.
+// allocs/op budget is identical to the float64 one's.
 func BenchmarkSubframeE2EF32(b *testing.B) {
 	rc := uplink.DefaultConfig()
 	rc.Precision = uplink.PrecisionFloat32

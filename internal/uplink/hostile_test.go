@@ -87,7 +87,7 @@ func TestHostileSymbolsAtBackend(t *testing.T) {
 	noiseVars := []float64{1e-12, 1, 1e300, inf}
 
 	cfg := tx.DefaultConfig()
-	for _, prec := range []uplink.Precision{uplink.PrecisionComplex128, uplink.PrecisionFloat32} {
+	for _, prec := range []uplink.Precision{uplink.PrecisionFloat64, uplink.PrecisionFloat32} {
 		for _, mode := range []uplink.TurboMode{uplink.TurboPassthrough, uplink.TurboFull} {
 			rc := cfg.Receiver
 			rc.Precision, rc.Turbo, rc.Scramble = prec, mode, true
@@ -151,7 +151,7 @@ func TestHostileSymbolsAtBackend(t *testing.T) {
 func TestHostileNoiseVariance(t *testing.T) {
 	cfg := tx.DefaultConfig()
 	p := uplink.UserParams{ID: 1, PRB: 3, Layers: 2, Mod: modulation.QAM16}
-	for _, prec := range []uplink.Precision{uplink.PrecisionComplex128, uplink.PrecisionFloat32} {
+	for _, prec := range []uplink.Precision{uplink.PrecisionFloat64, uplink.PrecisionFloat32} {
 		rc := cfg.Receiver
 		rc.Precision = prec
 		for _, nv := range []float64{math.NaN(), 0, -1, 5e-324, 1e300, math.Inf(1)} {
@@ -220,7 +220,7 @@ func TestHostileGridAtFrontDoor(t *testing.T) {
 	}{{"ref", true, false}, {"data", false, true}, {"ref+data", true, true}}
 
 	cfg := tx.DefaultConfig()
-	for _, prec := range []uplink.Precision{uplink.PrecisionComplex128, uplink.PrecisionFloat32} {
+	for _, prec := range []uplink.Precision{uplink.PrecisionFloat64, uplink.PrecisionFloat32} {
 		for _, comb := range []uplink.CombinerType{uplink.CombinerMMSE, uplink.CombinerIRC} {
 			rc := cfg.Receiver
 			rc.Precision, rc.Combiner = prec, comb

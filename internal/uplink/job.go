@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"ltephy/internal/phy/fft"
+	"ltephy/internal/phy/lane"
 	"ltephy/internal/phy/linalg"
+	"ltephy/internal/phy/modulation"
 	"ltephy/internal/phy/sequence"
 	"ltephy/internal/phy/turbo"
 	"ltephy/internal/phy/workspace"
@@ -30,11 +33,19 @@ import (
 // stage boundaries are barriers the caller must enforce (the work-stealing
 // runtime in internal/sched does, and the serial receiver trivially does).
 //
+// One receiver, two widths: every stage kernel is written once, generic
+// over the element width, on split re/im planes (planes[F] below). Cfg.
+// Precision picks the instance at Init — float64, the default and the
+// accuracy oracle, or float32 — and each stage entry dispatches to it once.
+// The received samples are packed to planes at Init and the demapper
+// writes float64 LLRs, so the decoder, HARQ and SoftBits are the same at
+// both widths.
+//
 // Memory: a job initialised with Init(ws, ...) carves its job-lifetime
-// buffers (channel estimates, weights, combined symbols) from ws; they are
-// valid until the caller releases the mark enclosing the job. Per-task
-// scratch comes from the arena passed to each Stage.Run call — the
-// executing worker's, which need not be the one that owns the job's
+// buffers (packed samples, channel estimates, weights, combined symbols)
+// from ws; they are valid until the caller releases the mark enclosing the
+// job. Per-task scratch comes from the arena passed to each Stage.Run call
+// — the executing worker's, which need not be the one that owns the job's
 // buffers. Decoded payload bits are always heap memory (they outlive the
 // job), demapped soft bits live wherever the finish stage's arena puts
 // them.
@@ -45,25 +56,14 @@ type UserJob struct {
 	n      int // subcarriers
 	layers int
 	format TransportFormat
-
-	// plan is the shared FFT plan for the allocation width, resolved once
-	// at Init so per-symbol/per-antenna loops never repeat the fft.Get map
-	// lookup; window is the channel-estimation time-domain window width.
-	plan   *fft.Plan
+	// window is the channel-estimation time-domain window width.
 	window int
 
-	layerRef [][]complex128 // conj-ready per-layer DMRS, [layer][k]; shared, read-only
-
-	// hestAll is one contiguous carve holding both slots' channel
-	// estimates ([slot][(a*layers+l)*n + k]); batched FFTs write straight
-	// into it. hest[slot] are its per-slot subslices.
-	hestAll []complex128
-	hest    [SlotsPerSubframe][]complex128
-	// weights[slot][(k*layers+l)*antennas + a]: MMSE combining rows.
-	weights [SlotsPerSubframe][]complex128
-	// combined[g*n + t]: despread time-domain symbols in canonical order,
-	// g = (slot*DataSymbolsPerSlot + sym)*layers + layer.
-	combined []complex128
+	// fp32 selects the float32 instance; f64 and f32 hold the planes of
+	// whichever instance Init set up (the other stays zero).
+	fp32 bool
+	f64  planes[float64]
+	f32  planes[float32]
 
 	// nv is the noise variance the combiner and demapper use: the genie
 	// value from UserData, or (with Cfg.EstimateNoise) the slot-difference
@@ -84,16 +84,57 @@ type UserJob struct {
 	res  UserResult
 	bits []uint8
 
-	// fp32 selects the float32 split-plane hot path (job_f32.go): every
-	// stage kernel branches to its F32 twin, with f32 holding the lane
-	// layout state. Set from Cfg.Precision at Init.
-	fp32 bool
-	f32  jobF32
-
 	// par, when set (after Init — Init clears it), lets the turbo
 	// decoder fan one code block's trellis windows out across scheduler
 	// workers instead of serializing a large block on one core.
 	par turbo.Parallel
+}
+
+// planes is the job's state at element width F, every buffer a pair of
+// split re/im planes. Weights are stored one contiguous subcarrier plane
+// per (layer, antenna) pair, [(l*ant+a)*n + k], so combining is a
+// stride-1 lane.MulAcc per antenna; the solve stage scatters into that
+// layout, its cost dominated by the per-subcarrier Cholesky anyway.
+type planes[F workspace.Float] struct {
+	// plan is the shared FFT plan for the allocation width, resolved once
+	// at Init so per-symbol/per-antenna loops never repeat the cache
+	// lookup.
+	plan *fft.SplitPlan[F]
+
+	layerRef []lane.Vec[F] // per-layer DMRS planes; shared, read-only
+
+	// refRe/refIm hold the packed reference symbols,
+	// [(slot*ant + a)*n + k].
+	refRe, refIm []F
+	// dataRe/dataIm hold the packed data symbols,
+	// [((slot*DataSymbolsPerSlot + sym)*ant + a)*n + k].
+	dataRe, dataIm []F
+	// hestRe/hestIm hold both slots' channel estimates,
+	// [slot*al*n + (a*layers+l)*n + k]; batched FFTs write straight in.
+	hestRe, hestIm []F
+	// wRe/wIm[slot] hold combining weights, [(l*ant+a)*n + k].
+	wRe, wIm [SlotsPerSubframe][]F
+	// combRe/combIm hold despread time-domain symbols, [g*n + t] with
+	// g = (slot*DataSymbolsPerSlot + sym)*layers + layer.
+	combRe, combIm []F
+}
+
+// ref returns the packed reference-symbol planes for (slot, antenna).
+func (p *planes[F]) ref(slot, a, ant, n int) (re, im []F) {
+	o := (slot*ant + a) * n
+	return p.refRe[o : o+n], p.refIm[o : o+n]
+}
+
+// data returns the packed data-symbol planes for (slot, sym, antenna).
+func (p *planes[F]) data(slot, sym, a, ant, n int) (re, im []F) {
+	o := ((slot*DataSymbolsPerSlot+sym)*ant + a) * n
+	return p.dataRe[o : o+n], p.dataIm[o : o+n]
+}
+
+// hest returns one slot's channel-estimate planes.
+func (p *planes[F]) hest(slot, al, n int) (re, im []F) {
+	o := slot * al * n
+	return p.hestRe[o : o+al*n], p.hestIm[o : o+al*n]
 }
 
 // SetParallel installs the window fan-out hook the finish stage hands to
@@ -110,37 +151,47 @@ func (j *UserJob) SoftBits() []float64 { return j.softBits }
 // Result returns the user result the finish stage produced.
 func (j *UserJob) Result() UserResult { return j.res }
 
+// dmrsKey identifies a cached set of reference planes by allocation width
+// and element width in bytes.
+type dmrsKey struct {
+	n     int
+	width uintptr
+}
+
 // dmrsCache shares the per-layer reference sequences across jobs: they are
 // a pure function of the allocation width, and user allocations repeat
-// heavily across subframes. Each entry holds all MaxLayers layers.
-// RWMutex-guarded so the per-job lookup doesn't box the key and stays
-// allocation-free.
+// heavily across subframes. Each entry holds all MaxLayers layers as
+// []lane.Vec[F] for the key's width. RWMutex-guarded so the per-job lookup
+// doesn't box the key and stays allocation-free.
 var (
 	dmrsMu    sync.RWMutex
-	dmrsCache = map[int][][]complex128{}
+	dmrsCache = map[dmrsKey]any{}
 )
 
 // layerRefs is a double-checked RWMutex cache: steady state is one
 // uncontended RLock over a map read; the write lock is first-sight-only.
 //
 //ltephy:blocking-ok
-func layerRefs(n int) [][]complex128 {
+func layerRefs[F workspace.Float](n int) []lane.Vec[F] {
+	var z F
+	key := dmrsKey{n, unsafe.Sizeof(z)}
 	dmrsMu.RLock()
-	refs := dmrsCache[n]
+	cached := dmrsCache[key]
 	dmrsMu.RUnlock()
-	if refs != nil {
-		return refs
+	if cached != nil {
+		return cached.([]lane.Vec[F])
 	}
 	base := sequence.BaseDMRS(n)
-	refs = make([][]complex128, sequence.MaxLayers)
+	refs := make([]lane.Vec[F], sequence.MaxLayers)
 	for l := range refs {
-		refs[l] = sequence.LayerDMRS(base, l)
+		refs[l] = lane.NewVecIn[F](nil, n)
+		lane.Pack(refs[l].Re, refs[l].Im, sequence.LayerDMRS(base, l))
 	}
 	dmrsMu.Lock()
-	if cached, ok := dmrsCache[n]; ok {
-		refs = cached
+	if cached, ok := dmrsCache[key]; ok {
+		refs = cached.([]lane.Vec[F])
 	} else {
-		dmrsCache[n] = refs
+		dmrsCache[key] = refs
 	}
 	dmrsMu.Unlock()
 	return refs
@@ -198,23 +249,48 @@ func (j *UserJob) Init(ws *workspace.Arena, cfg ReceiverConfig, u *UserData) err
 	if j.window < 1 {
 		j.window = 1
 	}
-	if cfg.Precision == PrecisionFloat32 {
-		// Float32 lane path: the job-lifetime state is the split-plane
-		// layout in j.f32; the complex128 buffers stay nil.
-		j.fp32 = true
-		j.initF32(ws)
-		return nil
+	j.fp32 = cfg.Precision == PrecisionFloat32
+	if j.fp32 {
+		j.f32.init(j, ws)
+	} else {
+		j.f64.init(j, ws)
 	}
-	j.plan = fft.Get(n)
-	j.layerRef = layerRefs(n)[:j.layers]
-	al := cfg.Antennas * j.layers
-	j.hestAll = ws.Complex(SlotsPerSubframe * al * n)
-	for slot := 0; slot < SlotsPerSubframe; slot++ {
-		j.hest[slot] = j.hestAll[slot*al*n : (slot+1)*al*n]
-		j.weights[slot] = ws.Complex(n * j.layers * cfg.Antennas)
-	}
-	j.combined = ws.Complex(DataSymbolsPerSubframe * j.layers * n)
 	return nil
+}
+
+// init carves the job-lifetime planes from ws and packs the received
+// samples — the single complex128 -> planes conversion of the chain.
+//
+//ltephy:owns-scratch
+func (p *planes[F]) init(j *UserJob, ws *workspace.Arena) {
+	n, ant := j.n, j.Cfg.Antennas
+	p.plan = fft.GetSplit[F](n)
+	p.layerRef = layerRefs[F](n)[:j.layers]
+
+	p.refRe = workspace.Floats[F](ws, SlotsPerSubframe*ant*n)
+	p.refIm = workspace.Floats[F](ws, SlotsPerSubframe*ant*n)
+	p.dataRe = workspace.Floats[F](ws, SlotsPerSubframe*DataSymbolsPerSlot*ant*n)
+	p.dataIm = workspace.Floats[F](ws, SlotsPerSubframe*DataSymbolsPerSlot*ant*n)
+	for slot := 0; slot < SlotsPerSubframe; slot++ {
+		for a := 0; a < ant; a++ {
+			re, im := p.ref(slot, a, ant, n)
+			lane.Pack(re, im, j.U.RefRx[slot][a])
+			for sym := 0; sym < DataSymbolsPerSlot; sym++ {
+				re, im = p.data(slot, sym, a, ant, n)
+				lane.Pack(re, im, j.U.DataRx[slot][sym][a])
+			}
+		}
+	}
+
+	al := ant * j.layers
+	p.hestRe = workspace.Floats[F](ws, SlotsPerSubframe*al*n)
+	p.hestIm = workspace.Floats[F](ws, SlotsPerSubframe*al*n)
+	for slot := 0; slot < SlotsPerSubframe; slot++ {
+		p.wRe[slot] = workspace.Floats[F](ws, n*al)
+		p.wIm[slot] = workspace.Floats[F](ws, n*al)
+	}
+	p.combRe = workspace.Floats[F](ws, DataSymbolsPerSubframe*j.layers*n)
+	p.combIm = workspace.Floats[F](ws, DataSymbolsPerSubframe*j.layers*n)
 }
 
 // Format returns the transport format the job decodes against.
@@ -233,56 +309,55 @@ func (j *UserJob) ChanEstTask(i int) {
 	chanEstStages[j.Cfg.ChanEst].Run(nil, j, i)
 }
 
-// matchedFilter writes the matched-filter output for (slot, antenna,
-// layer l's reference) into mf: unit-modulus reference, so conjugate
-// multiply inverts the known sequence and leaves H plus the other layers'
-// responses shifted to their own windows.
-func (j *UserJob) matchedFilter(mf []complex128, slot, a, l int) {
-	rx := j.U.RefRx[slot][a]
-	ref := j.layerRef[l]
-	for k := 0; k < j.n; k++ {
-		mf[k] = rx[k] * cmplxConj(ref[k])
-	}
-}
-
 // chanEstTask estimates the channel for one (antenna, layer) pair across
-// both slots: matched filter against the layer's reference sequence, IFFT
-// to the time domain, windowing around the layer's cyclic shift, FFT back
+// both slots: matched filter against the layer's reference sequence (unit
+// modulus, so conjugate multiply inverts the known sequence and leaves H
+// plus the other layers' responses shifted to their own windows), IFFT to
+// the time domain, windowing around the layer's cyclic shift, FFT back
 // (the paper's Fig. 3 channel-estimation chain). ls selects the raw
 // least-squares variant (matched filter only). The two slots run as one
-// FFT batch, landing directly in hestAll through the strided destination.
+// FFT batch, landing directly in the hest slab through the strided
+// destination.
 func (j *UserJob) chanEstTask(ws *workspace.Arena, i int, ls bool) {
 	if j.fp32 {
-		j.chanEstTaskF32(ws, i, ls)
+		j.f32.chanEstTask(j, ws, i, ls)
 		return
 	}
+	j.f64.chanEstTask(j, ws, i, ls)
+}
+
+func (p *planes[F]) chanEstTask(j *UserJob, ws *workspace.Arena, i int, ls bool) {
 	a := i / j.layers
 	l := i % j.layers
-	n := j.n
+	n, ant := j.n, j.Cfg.Antennas
+	ref := p.layerRef[l]
+	o := (a*j.layers + l) * n
 	if ls {
 		// Raw least-squares: no denoising, no layer separation.
 		for slot := 0; slot < SlotsPerSubframe; slot++ {
-			out := j.hest[slot][(a*j.layers+l)*n : (a*j.layers+l+1)*n]
-			j.matchedFilter(out, slot, a, l)
+			hre, him := p.hest(slot, ant*j.layers, n)
+			rxRe, rxIm := p.ref(slot, a, ant, n)
+			lane.MulConj(hre[o:o+n], him[o:o+n], rxRe, rxIm, ref.Re, ref.Im)
 		}
 		return
 	}
 	m := ws.Mark()
-	mf := ws.Complex(SlotsPerSubframe * n)
-	td := ws.Complex(SlotsPerSubframe * n)
+	mfRe := workspace.Floats[F](ws, SlotsPerSubframe*n)
+	mfIm := workspace.Floats[F](ws, SlotsPerSubframe*n)
+	tdRe := workspace.Floats[F](ws, SlotsPerSubframe*n)
+	tdIm := workspace.Floats[F](ws, SlotsPerSubframe*n)
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
-		j.matchedFilter(mf[slot*n:(slot+1)*n], slot, a, l)
+		rxRe, rxIm := p.ref(slot, a, ant, n)
+		lane.MulConj(mfRe[slot*n:(slot+1)*n], mfIm[slot*n:(slot+1)*n], rxRe, rxIm, ref.Re, ref.Im)
 	}
-	j.plan.InverseBatch(ws, td, mf, SlotsPerSubframe, n)
+	p.plan.InverseBatch(ws, tdRe, tdIm, mfRe, mfIm, SlotsPerSubframe, n)
 	// Window: this layer's impulse response occupies [0, window).
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
-		seg := td[slot*n : (slot+1)*n]
-		for t := j.window; t < n; t++ {
-			seg[t] = 0
-		}
+		clear(tdRe[slot*n+j.window : (slot+1)*n])
+		clear(tdIm[slot*n+j.window : (slot+1)*n])
 	}
-	aln := j.Cfg.Antennas * j.layers * n
-	j.plan.ForwardBatchStrided(ws, j.hestAll[(a*j.layers+l)*n:], td, SlotsPerSubframe, aln, n)
+	aln := ant * j.layers * n
+	p.plan.ForwardBatchStrided(ws, p.hestRe[o:], p.hestIm[o:], tdRe, tdIm, SlotsPerSubframe, aln, n)
 	ws.Release(m)
 }
 
@@ -292,33 +367,41 @@ func (j *UserJob) chanEstTask(ws *workspace.Arena, i int, ls bool) {
 // straight into the hest slab. Per-vector arithmetic is identical to
 // chanEstTask, so results are bit-exact with the per-task path.
 func (j *UserJob) chanEstBatch(ws *workspace.Arena, from, to int, ls bool) {
-	if j.fp32 {
-		j.chanEstBatchF32(ws, from, to, ls)
-		return
-	}
 	if ls {
 		for i := from; i < to; i++ {
 			j.chanEstTask(ws, i, true)
 		}
 		return
 	}
-	n := j.n
+	if j.fp32 {
+		j.f32.chanEstBatch(j, ws, from, to)
+		return
+	}
+	j.f64.chanEstBatch(j, ws, from, to)
+}
+
+func (p *planes[F]) chanEstBatch(j *UserJob, ws *workspace.Arena, from, to int) {
+	n, ant := j.n, j.Cfg.Antennas
 	cnt := to - from
 	m := ws.Mark()
-	mf := ws.Complex(cnt * n)
-	td := ws.Complex(cnt * n)
+	mfRe := workspace.Floats[F](ws, cnt*n)
+	mfIm := workspace.Floats[F](ws, cnt*n)
+	tdRe := workspace.Floats[F](ws, cnt*n)
+	tdIm := workspace.Floats[F](ws, cnt*n)
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
 		for i := from; i < to; i++ {
-			j.matchedFilter(mf[(i-from)*n:(i-from+1)*n], slot, i/j.layers, i%j.layers)
+			rxRe, rxIm := p.ref(slot, i/j.layers, ant, n)
+			ref := p.layerRef[i%j.layers]
+			o := (i - from) * n
+			lane.MulConj(mfRe[o:o+n], mfIm[o:o+n], rxRe, rxIm, ref.Re, ref.Im)
 		}
-		j.plan.InverseBatch(ws, td, mf, cnt, n)
+		p.plan.InverseBatch(ws, tdRe, tdIm, mfRe, mfIm, cnt, n)
 		for i := 0; i < cnt; i++ {
-			seg := td[i*n : (i+1)*n]
-			for t := j.window; t < n; t++ {
-				seg[t] = 0
-			}
+			clear(tdRe[i*n+j.window : (i+1)*n])
+			clear(tdIm[i*n+j.window : (i+1)*n])
 		}
-		j.plan.ForwardBatch(ws, j.hest[slot][from*n:to*n], td, cnt, n)
+		hre, him := p.hest(slot, ant*j.layers, n)
+		p.plan.ForwardBatch(ws, hre[from*n:to*n], him[from*n:to*n], tdRe, tdIm, cnt, n)
 	}
 	ws.Release(m)
 }
@@ -330,22 +413,22 @@ func (j *UserJob) chanEstBatch(ws *workspace.Arena, from, to int, ls bool) {
 // N/W rescale back to per-subcarrier variance.
 func (j *UserJob) estimateNoise() float64 {
 	if j.fp32 {
-		return j.estimateNoiseF32()
+		return j.f32.estimateNoise(j)
 	}
-	window := j.window
-	var sum float64
-	count := 0
-	h0, h1 := j.hest[0], j.hest[1]
-	for i := range h0 {
-		d := h0[i] - h1[i]
-		sum += real(d)*real(d) + imag(d)*imag(d)
-		count++
-	}
+	return j.f64.estimateNoise(j)
+}
+
+func (p *planes[F]) estimateNoise(j *UserJob) float64 {
+	al := j.Cfg.Antennas * j.layers
+	h0re, h0im := p.hest(0, al, j.n)
+	h1re, h1im := p.hest(1, al, j.n)
+	count := len(h0re)
 	if count == 0 {
 		return 1e-12
 	}
 	// Var(H0-H1) = 2 * windowed noise variance = 2 * sigma^2 * W/N.
-	est := (sum / float64(count)) / 2 * float64(j.n) / float64(window)
+	sum := lane.SumDiffMag2(h0re, h0im, h1re, h1im)
+	est := (sum / float64(count)) / 2 * float64(j.n) / float64(j.window)
 	if est < 1e-12 {
 		est = 1e-12
 	}
@@ -367,14 +450,17 @@ func (j *UserJob) CFOEstimate() float64 { return j.cfo }
 // |cfo| < 1/14 of the subcarrier spacing — ample for a residual offset.
 func (j *UserJob) estimateCFO() float64 {
 	if j.fp32 {
-		return j.estimateCFOF32()
+		return j.f32.estimateCFO(j)
 	}
-	var acc complex128
-	h0, h1 := j.hest[0], j.hest[1]
-	for i := range h0 {
-		acc += h1[i] * cmplxConj(h0[i])
-	}
-	return math.Atan2(imag(acc), real(acc)) / (2 * math.Pi * float64(SymbolsPerSlot))
+	return j.f64.estimateCFO(j)
+}
+
+func (p *planes[F]) estimateCFO(j *UserJob) float64 {
+	al := j.Cfg.Antennas * j.layers
+	h0re, h0im := p.hest(0, al, j.n)
+	h1re, h1im := p.hest(1, al, j.n)
+	re, im := lane.DotConj(h1re, h1im, h0re, h0im)
+	return math.Atan2(im, re) / (2 * math.Pi * float64(SymbolsPerSlot))
 }
 
 // resolveNoiseAndCFO fixes the working noise variance (genie or estimated)
@@ -407,51 +493,58 @@ func (j *UserJob) ComputeWeights() {
 	combinerStages[j.Cfg.Combiner].Run(nil, j, 0)
 }
 
-// computeLinearWeights fills the weight buffers for the MMSE family:
+// computeLinearWeights fills the weight planes for the MMSE family:
 // solveNV is the diagonal loading of the Gram matrix (the noise variance
 // for MMSE, a numerical guard for ZF), and mrc selects the per-layer
-// matched filter instead of the joint solve. Per subcarrier it gathers the
-// channel matrix into float64 split planes on the stack and runs the same
-// Cholesky solve as the float32 path (linalg.MMSESolve) — no arena marks,
-// no allocation.
+// matched filter instead of the joint solve.
 func (j *UserJob) computeLinearWeights(solveNV float64, mrc bool) {
 	if j.fp32 {
-		j.computeLinearWeightsF32(solveNV, mrc)
+		j.f32.computeLinearWeights(j, solveNV, mrc)
 		return
 	}
+	j.f64.computeLinearWeights(j, solveNV, mrc)
+}
+
+// computeLinearWeights gathers each subcarrier's channel matrix from the
+// hest planes into stack arrays, solves by Cholesky (or runs the per-layer
+// MRC matched filter), and scatters the rows into the per-(layer, antenna)
+// plane layout. All scratch is on the stack — no arena marks, no
+// allocation.
+func (p *planes[F]) computeLinearWeights(j *UserJob, solveNV float64, mrc bool) {
 	n, ant, layers := j.n, j.Cfg.Antennas, j.layers
 	al := ant * layers
-	var hR, hI, wR, wI [linalg.MaxDim * linalg.MaxDim]float64
+	nv := F(solveNV)
+	var hR, hI, wR, wI [linalg.MaxDim * linalg.MaxDim]F
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
-		hs := j.hest[slot]
-		out := j.weights[slot]
+		hre, him := p.hest(slot, al, n)
+		outRe, outIm := p.wRe[slot], p.wIm[slot]
 		for k := 0; k < n; k++ {
 			for i := 0; i < al; i++ {
-				v := hs[i*n+k]
-				hR[i], hI[i] = real(v), imag(v)
+				hR[i], hI[i] = hre[i*n+k], him[i*n+k]
 			}
 			if mrc {
 				// Per-layer matched filter: w_l = h_l^H / (|h_l|^2 + nv).
 				for l := 0; l < layers; l++ {
-					var norm float64
+					var norm F
 					for a := 0; a < ant; a++ {
 						norm += hR[a*layers+l]*hR[a*layers+l] + hI[a*layers+l]*hI[a*layers+l]
 					}
-					scale := 1 / (norm + solveNV)
+					scale := 1 / (norm + nv)
 					for a := 0; a < ant; a++ {
 						wR[l*ant+a] = hR[a*layers+l] * scale
 						wI[l*ant+a] = -hI[a*layers+l] * scale
 					}
 				}
-			} else if !linalg.MMSESolve(wR[:al], wI[:al], hR[:al], hI[:al], ant, layers, solveNV) {
+			} else if !linalg.MMSESolve(wR[:al], wI[:al], hR[:al], hI[:al], ant, layers, nv) {
 				// A Gram matrix that is not positive definite (a NaN channel
 				// estimate) yields zero weights for this subcarrier rather
 				// than failing the whole subframe.
 				clear(wR[:al])
 				clear(wI[:al])
 			}
-			for i := range al {
-				out[k*al+i] = complex(wR[i], wI[i])
+			for i := 0; i < al; i++ {
+				outRe[i*n+k] = wR[i]
+				outIm[i*n+k] = wI[i]
 			}
 		}
 	}
@@ -463,89 +556,68 @@ func (j *UserJob) DataTask(i int) {
 	dataStage{}.Run(nil, j, i)
 }
 
-// combineSymbol gathers the combiner input for data task i into comb
-// (length n): the per-subcarrier weighted sum across antennas, plus the
-// residual-CFO de-rotation. This is the frequency-domain vector the
-// despread IDFT consumes.
-func (j *UserJob) combineSymbol(i int, comb []complex128) {
+// combineSymbol accumulates the combiner output for data task i into the
+// (zeroed-on-entry) comb planes: the per-subcarrier weighted sum across
+// antennas, one stride-1 lane.MulAcc per antenna, then the residual-CFO
+// de-rotation. This is the frequency-domain vector the despread IDFT
+// consumes.
+func (p *planes[F]) combineSymbol(j *UserJob, i int, combRe, combIm []F) {
 	layers := j.layers
 	slot := i / (DataSymbolsPerSlot * layers)
 	rem := i % (DataSymbolsPerSlot * layers)
 	sym := rem / layers
 	l := rem % layers
-	n := j.n
-	ant := j.Cfg.Antennas
-	rx := j.U.DataRx[slot][sym]
-	w := j.weights[slot]
-	for k := 0; k < n; k++ {
-		row := w[(k*layers+l)*ant : (k*layers+l+1)*ant]
-		var sum complex128
-		for a := 0; a < ant; a++ {
-			sum += row[a] * rx[a][k]
-		}
-		comb[k] = sum
+	n, ant := j.n, j.Cfg.Antennas
+	wre, wim := p.wRe[slot], p.wIm[slot]
+	for a := 0; a < ant; a++ {
+		o := (l*ant + a) * n
+		rxRe, rxIm := p.data(slot, sym, a, ant, n)
+		lane.MulAcc(combRe, combIm, wre[o:o+n], wim[o:o+n], rxRe, rxIm)
 	}
 	if j.cfo != 0 {
 		// The combiner inverted the slot reference's phase; de-rotate the
 		// residual CFO accumulated between the reference and this symbol.
 		delta := float64(DataSymbolPos(sym) - RefSymbolPos)
 		theta := -2 * math.Pi * j.cfo * delta
-		rot := complex(math.Cos(theta), math.Sin(theta))
-		for k := range comb {
-			comb[k] *= rot
-		}
-	}
-}
-
-// despreadScale undoes the transmitter's unitary 1/sqrt(N) spreading
-// scale on the despread output.
-func despreadScale(out []complex128, n int) {
-	scale := complex(math.Sqrt(float64(n)), 0)
-	for t := range out {
-		out[t] *= scale
+		lane.ScaleC(F(math.Cos(theta)), F(math.Sin(theta)), combRe, combIm)
 	}
 }
 
 // dataTask combines one (slot, symbol, layer) across antennas and
 // transforms it back to the time domain (SC-FDMA despread) — the paper's
 // "antenna combining and IFFT ... performed on each separate symbol and
-// layer".
-func (j *UserJob) dataTask(ws *workspace.Arena, i int) {
-	if j.fp32 {
-		j.dataTaskF32(ws, i)
-		return
-	}
-	n := j.n
-	m := ws.Mark()
-	comb := ws.Complex(n)
-	j.combineSymbol(i, comb)
-	// Data task i lands at group index i: tasks and the canonical combined
-	// layout share the (slot, sym, layer) order.
-	out := j.combined[i*n : (i+1)*n]
-	j.plan.InverseIn(ws, out, comb)
-	despreadScale(out, n)
-	ws.Release(m)
-}
+// layer" — then undoes the transmitter's unitary 1/sqrt(N) spreading
+// scale.
+func (j *UserJob) dataTask(ws *workspace.Arena, i int) { j.dataBatch(ws, i, i+1) }
 
 // dataBatch runs data tasks [from, to): every symbol of the range is
 // gathered into contiguous scratch, then one batched IDFT despreads them
 // all straight into the combined slab. Per-vector arithmetic is identical
-// to dataTask, so results are bit-exact with the per-task path.
+// to a single task's, so results are bit-exact with the per-task path.
 func (j *UserJob) dataBatch(ws *workspace.Arena, from, to int) {
 	if j.fp32 {
-		j.dataBatchF32(ws, from, to)
+		j.f32.dataBatch(j, ws, from, to)
 		return
 	}
+	j.f64.dataBatch(j, ws, from, to)
+}
+
+func (p *planes[F]) dataBatch(j *UserJob, ws *workspace.Arena, from, to int) {
 	n := j.n
 	cnt := to - from
 	m := ws.Mark()
-	comb := ws.Complex(cnt * n)
+	combRe := workspace.Floats[F](ws, cnt*n)
+	combIm := workspace.Floats[F](ws, cnt*n)
 	for i := from; i < to; i++ {
-		j.combineSymbol(i, comb[(i-from)*n:(i-from+1)*n])
+		o := (i - from) * n
+		p.combineSymbol(j, i, combRe[o:o+n], combIm[o:o+n])
 	}
-	out := j.combined[from*n : to*n]
-	j.plan.InverseBatch(ws, out, comb, cnt, n)
-	despreadScale(out, n)
+	// Data task i lands at group index i: tasks and the canonical combined
+	// layout share the (slot, sym, layer) order.
+	outRe := p.combRe[from*n : to*n]
+	outIm := p.combIm[from*n : to*n]
+	p.plan.InverseBatch(ws, outRe, outIm, combRe, combIm, cnt, n)
+	lane.Scale(F(math.Sqrt(float64(n))), outRe, outIm)
 	ws.Release(m)
 }
 
@@ -562,17 +634,32 @@ func (j *UserJob) Finish() UserResult {
 // comes from ws; only the decoded payload bits escape to heap memory.
 func (j *UserJob) finish(ws *workspace.Arena) {
 	if j.fp32 {
-		j.finishF32(ws)
+		j.f32.finish(j, ws)
 		return
 	}
+	j.f64.finish(j, ws)
+}
+
+// finish deinterleaves both planes, runs the fused demap + EVM at width F
+// into float64 LLRs, then descrambles, decodes and checks the CRC.
+//
+// The LLRs are stored in j.softBits past the scratch Release by contract:
+// softBits survive on the arena until the job-lifetime mark is released
+// (HARQ Absorb consumes them first).
+//
+//ltephy:owns-scratch
+func (p *planes[F]) finish(j *UserJob, ws *workspace.Arena) {
 	res := UserResult{UserID: j.U.Params.ID, ChannelMSE: math.NaN()}
 	m := ws.Mark()
-	deint := ws.Complex(len(j.combined))
-	deinterleaveSymbols(j.Cfg, deint, j.combined)
+	total := len(p.combRe)
+	deintRe := workspace.Floats[F](ws, total)
+	deintIm := workspace.Floats[F](ws, total)
+	deinterleaveSymbols(j.Cfg, deintRe, p.combRe)
+	deinterleaveSymbols(j.Cfg, deintIm, p.combIm)
 	nv := j.backendNoiseVar()
-	// Arena slices have capacity == length, so DemapEVM fills the buffer
-	// exactly without growing it.
-	llr, evm := j.U.Params.Mod.DemapEVM(ws.Float(j.format.TotalBits)[:0], deint, nv)
+	// Arena slices have capacity == length, so the demapper fills the
+	// buffer exactly without growing it.
+	llr, evm := modulation.DemapEVMPlanes(j.U.Params.Mod, ws.Float(j.format.TotalBits)[:0], deintRe, deintIm, F(nv))
 	if j.Cfg.Scramble {
 		DescrambleIn(ws, llr, j.U.Params.ID)
 	}
@@ -587,11 +674,9 @@ func (j *UserJob) finish(ws *workspace.Arena) {
 	res.CRCOK = ok && symbolsFinite(evm)
 	res.TurboHalfIters = halfIters
 	if j.U.Channel != nil {
-		res.ChannelMSE = j.channelMSE()
+		res.ChannelMSE = p.channelMSE(j)
 	}
 	j.stampServing(&res)
-	// Scratch released here; softBits intentionally survives on the arena
-	// until the job-lifetime mark is released.
 	j.res = res
 	ws.Release(m)
 }
@@ -632,18 +717,22 @@ func (j *UserJob) stampServing(res *UserResult) {
 }
 
 // channelMSE computes the normalised estimation error against ground truth,
-// averaged over slots, antennas, layers and subcarriers.
-func (j *UserJob) channelMSE() float64 {
+// averaged over slots, antennas, layers and subcarriers, widening each
+// estimate element for the float64 accumulation.
+func (p *planes[F]) channelMSE(j *UserJob) float64 {
 	truth := j.U.Channel
+	al := j.Cfg.Antennas * j.layers
 	var num, den float64
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
-		hs := j.hest[slot]
+		hre, him := p.hest(slot, al, j.n)
 		for a := 0; a < j.Cfg.Antennas; a++ {
 			for l := 0; l < j.layers; l++ {
 				h := truth.Resp(a, l)
 				for k := 0; k < j.n; k++ {
-					d := hs[(a*j.layers+l)*j.n+k] - h[k]
-					num += real(d)*real(d) + imag(d)*imag(d)
+					o := (a*j.layers+l)*j.n + k
+					dr := float64(hre[o]) - real(h[k])
+					di := float64(him[o]) - imag(h[k])
+					num += dr*dr + di*di
 					den += real(h[k])*real(h[k]) + imag(h[k])*imag(h[k])
 				}
 			}
@@ -654,8 +743,6 @@ func (j *UserJob) channelMSE() float64 {
 	}
 	return num / den
 }
-
-func cmplxConj(v complex128) complex128 { return complex(real(v), -imag(v)) }
 
 // Process runs the whole chain serially — the paper's reference serial
 // implementation used to verify parallelised versions (Section IV-D).

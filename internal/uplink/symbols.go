@@ -46,14 +46,9 @@ func InterleaveSymbols(cfg ReceiverConfig, dst, src []complex128) {
 }
 
 // deinterleaveSymbols inverts InterleaveSymbols (the paper's Fig. 3
-// "Deinterleave" kernel, run before soft demapping).
-func deinterleaveSymbols(cfg ReceiverConfig, dst, src []complex128) {
-	interleave.Deinterleave(getBlock(len(src), cfg.InterleaverColumns), dst, src)
-}
-
-// deinterleaveSymbolsF32 is deinterleaveSymbols on one split plane:
+// "Deinterleave" kernel, run before soft demapping) on one split plane:
 // applying the same permutation to the re and im planes independently is
-// exactly the complex deinterleave on the lane layout.
-func deinterleaveSymbolsF32(cfg ReceiverConfig, dst, src []float32) {
+// exactly the complex deinterleave.
+func deinterleaveSymbols[T any](cfg ReceiverConfig, dst, src []T) {
 	interleave.Deinterleave(getBlock(len(src), cfg.InterleaverColumns), dst, src)
 }

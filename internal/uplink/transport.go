@@ -95,7 +95,7 @@ func NewTransportFormatRate(p UserParams, mode TurboMode, rate float64) (Transpo
 	if rate == 0 || mode != TurboFull {
 		return NewTransportFormat(p, mode)
 	}
-	if rate < turbo.MinRate || rate > turbo.MaxRate {
+	if !(turbo.MinRate <= rate && rate <= turbo.MaxRate) { // also rejects NaN
 		return TransportFormat{}, fmt.Errorf("uplink: code rate %g outside [%g, %g]",
 			rate, turbo.MinRate, turbo.MaxRate)
 	}

@@ -255,17 +255,19 @@ func (c ChanEstType) String() string {
 // Precision selects the arithmetic width of the receiver hot path.
 type Precision int
 
+// The receiver is one body of code, generic over the element width, on
+// split re/im planes (internal/phy/lane); Precision picks its instance.
+// Either way received samples are packed to planes at Init and the
+// demapper writes float64 LLRs, so schedulers, HARQ and the transport
+// layer see one interface.
 const (
-	// PrecisionComplex128 is the default interleaved complex128 pipeline —
-	// the accuracy oracle every other precision is validated against.
-	PrecisionComplex128 Precision = iota
+	// PrecisionFloat64 is the default: the float64 instance, the accuracy
+	// oracle the float32 one is validated against.
+	PrecisionFloat64 Precision = iota
 	// PrecisionFloat32 runs the hot path (channel estimation, weight
-	// solve, combining, despreading, demapping) on the split-plane float32
-	// lane layout (internal/phy/lane), converting at the job boundary:
-	// received samples are packed to planes at Init and LLRs widen back to
-	// float64 before the turbo decoder, so schedulers, HARQ and the
-	// transport layer see unchanged interfaces. Validated against the
-	// complex128 path across nPRB 2..200 with pinned EVM and LLR bounds.
+	// solve, combining, despreading, demapping) at float32. Validated
+	// against the float64 instance across nPRB 2..200 with pinned EVM and
+	// LLR bounds.
 	PrecisionFloat32
 )
 
@@ -273,7 +275,7 @@ func (p Precision) String() string {
 	if p == PrecisionFloat32 {
 		return "float32"
 	}
-	return "complex128"
+	return "float64"
 }
 
 // TurboMode selects the final decoding stage.
@@ -310,7 +312,7 @@ type ReceiverConfig struct {
 	Combiner CombinerType
 	ChanEst  ChanEstType
 	// Precision selects the hot-path arithmetic width; the zero value is
-	// the complex128 oracle path.
+	// the float64 oracle.
 	Precision Precision
 	// EstimateNoise makes the receiver estimate the noise variance from
 	// the out-of-window residual of the channel-estimation IFFT instead of
@@ -350,13 +352,13 @@ func (c ReceiverConfig) Validate() error {
 		return fmt.Errorf("uplink: antenna count %d outside [1, 8]", c.Antennas)
 	case c.Turbo == TurboFull && c.TurboIterations < 1:
 		return fmt.Errorf("uplink: turbo iterations %d < 1", c.TurboIterations)
-	case c.CodeRate != 0 && (c.CodeRate < 0 || c.CodeRate >= 1):
+	case c.CodeRate != 0 && !(0 < c.CodeRate && c.CodeRate < 1): // also rejects NaN
 		return fmt.Errorf("uplink: code rate %g outside (0, 1)", c.CodeRate)
 	case c.Combiner < CombinerMMSE || c.Combiner > CombinerIRC:
 		return fmt.Errorf("uplink: unknown combiner %d", int(c.Combiner))
 	case c.ChanEst < ChanEstWindowed || c.ChanEst > ChanEstLS:
 		return fmt.Errorf("uplink: unknown channel estimator %d", int(c.ChanEst))
-	case c.Precision < PrecisionComplex128 || c.Precision > PrecisionFloat32:
+	case c.Precision < PrecisionFloat64 || c.Precision > PrecisionFloat32:
 		return fmt.Errorf("uplink: unknown precision %d", int(c.Precision))
 	case c.InterleaverColumns < 1:
 		return fmt.Errorf("uplink: interleaver columns %d < 1", c.InterleaverColumns)

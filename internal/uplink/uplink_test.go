@@ -417,6 +417,38 @@ func TestRateMatchedTransportFormat(t *testing.T) {
 	}
 }
 
+// TestCodeRateBounds pins both code-rate gates on the values a plain
+// comparison gets wrong: NaN compares false against every bound, so each
+// gate must be written as !(lo <= rate <= hi) to reject it.
+func TestCodeRateBounds(t *testing.T) {
+	p := uplink.UserParams{PRB: 10, Layers: 2, Mod: modulation.QAM16}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		rate         float64
+		config, tbOK bool // ReceiverConfig.Validate, NewTransportFormatRate
+	}{
+		{nan, false, false},
+		{inf, false, false},
+		{-inf, false, false},
+		{0, true, true}, // mother rate with padding
+		{turbo.MinRate, true, true},
+		{turbo.MaxRate, true, true},
+		{math.Nextafter(turbo.MinRate, 0), true, false},
+		{math.Nextafter(turbo.MaxRate, 1), true, false},
+		{-0.5, false, false},
+		{1, false, false},
+	} {
+		rc := uplink.DefaultConfig()
+		rc.Turbo, rc.CodeRate = uplink.TurboFull, tc.rate
+		if err := rc.Validate(); (err == nil) != tc.config {
+			t.Errorf("rate %g: Validate error %v, want accepted=%v", tc.rate, err, tc.config)
+		}
+		if _, err := uplink.NewTransportFormatRate(p, uplink.TurboFull, tc.rate); (err == nil) != tc.tbOK {
+			t.Errorf("rate %g: NewTransportFormatRate error %v, want accepted=%v", tc.rate, err, tc.tbOK)
+		}
+	}
+}
+
 // TestEndToEndRateMatched: a rate-1/2 rate-matched link survives 12 dB
 // where uncoded transmission would not, and recovers the exact payload.
 func TestEndToEndRateMatched(t *testing.T) {
