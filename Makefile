@@ -67,8 +67,9 @@ race:
 # Guards the ISSUE 1 invariant: the post-warmup receiver hot path must
 # not allocate (see internal/uplink/alloc_bench_test.go) — including with
 # telemetry recording at sampling 0, 1 and 64, and at both receiver
-# widths — and the pool's task path allocates only each user's job and
-# result payload (internal/sched/alloc_test.go).
+# widths — and the pool's task path allocates nothing either: each worker
+# reuses its job and payload storage, and the turbo window fan-out is
+# built once per worker (internal/sched/alloc_test.go).
 zeroalloc:
 	$(GO) test -run 'SteadyStateZeroAlloc' -count=1 ./internal/uplink/
 	$(GO) test -run '^TestPoolSteadyStateAllocs$$' -count=1 ./internal/sched/
@@ -126,7 +127,8 @@ bench-compare:
 # turbo segmentation and rate-matching round trips, the int8 decoder
 # against the float64 oracle kept in its tests, the FFT forward/inverse
 # round trip at both widths, the split-plane pack/unpack at both widths,
-# and the front-haul frame decoder against adversarial wire bytes.
+# the front-haul frame decoder against adversarial wire bytes, and the
+# LTCK cell-checkpoint decoder (accepted snapshots re-encode exactly).
 # `go test -fuzz` takes one target per run, hence the separate
 # invocations.
 FUZZTIME ?= 10s
@@ -138,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/phy/fft/
 	$(GO) test -run '^$$' -fuzz '^FuzzLanePackUnpack$$' -fuzztime $(FUZZTIME) ./internal/phy/lane/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/fronthaul/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/fronthaul/
 
 # Serving-layer smoke: lte-enb on a Unix socket, 2000 subframes per cell
 # at 2x real time through the wire generator (lte-bench -loopback),

@@ -381,14 +381,16 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "  tasks run: %d, steals: %d\n", tasks, steals)
 
 	// As-if power on the modelled TILEPro64, from the workers' measured
-	// busy/nap fractions (host cores stand in for tiles).
+	// busy/nap/park fractions (host cores stand in for tiles).
 	busy := make([]int64, len(after))
 	nap := make([]int64, len(after))
+	park := make([]int64, len(after))
 	for i := range after {
 		busy[i] = after[i].BusyNanos - before[i].BusyNanos
 		nap[i] = after[i].NapNanos - before[i].NapNanos
+		park[i] = after[i].ParkNanos - before[i].ParkNanos
 	}
-	if est, err := power.FromWorkerStats(busy, nap, wall.Nanoseconds(), power.Default()); err == nil {
+	if est, err := power.FromWorkerStats(busy, nap, park, wall.Nanoseconds(), power.Default()); err == nil {
 		fmt.Fprintf(w, "  as-if power (%d-core model): %.2f W\n", *workers, est)
 	}
 	if sampling > 0 {

@@ -49,14 +49,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i := 0; i < job.NumChanEstTasks(); i++ {
-			job.ChanEstTask(i)
+		for _, s := range job.Stages() {
+			for i := range s.Tasks(job) {
+				s.Run(nil, job, i)
+			}
 		}
-		job.ComputeWeights()
-		for i := 0; i < job.NumDataTasks(); i++ {
-			job.DataTask(i)
-		}
-		solo := job.Finish()
+		solo := job.Result()
 
 		got, ok, err := harq.Absorb(job.SoftBits(), rv)
 		if err != nil {

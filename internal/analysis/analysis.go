@@ -33,12 +33,8 @@
 //   - //ltephy:hotpath — on a function: an additional hot-path root for
 //     hotpathalloc beyond the Stage.Run/RunBatch shape (the fronthaul
 //     ingest loop's decode→admit→dispatch functions). The function and
-//     everything reachable from it must satisfy the zero-alloc rule, and
-//     it joins the deadline-bound root set for blockingcall/crossarena.
-//   - //ltephy:deadline-root — on a function: a deadline-bound root for
-//     blockingcall and crossarena that is not a zero-alloc root (the
-//     scheduler's per-user driver loop: it allocates the job by design
-//     but must never block inside the subframe budget).
+//     everything reachable from it must satisfy the zero-alloc rule and,
+//     for blockingcall, must never block inside the subframe budget.
 //   - //ltephy:blocking-ok — on a function: its own blocking operations
 //     are audited and sanctioned (bounded uncontended critical sections
 //     like the deque mutex, transport-paced ingest reads). blockingcall
@@ -114,14 +110,12 @@ type Program struct {
 
 	// Shared cross-function caches, each built at most once per load and
 	// shared by every analyzer (the lint wall-time budget depends on it).
-	cgOnce       sync.Once
-	cg           *CallGraph
-	hotOnce      sync.Once
-	hotSet       map[string]bool // funcKey -> reachable from a stage root
-	deadlineOnce sync.Once
-	deadlineSet  *Reach // reachable from a deadline-bound root
-	lockOnce     sync.Once
-	lockFacts    *lockOrderFacts
+	cgOnce    sync.Once
+	cg        *CallGraph
+	hotOnce   sync.Once
+	hot       *Reach // reachable from a stage root
+	lockOnce  sync.Once
+	lockFacts *lockOrderFacts
 }
 
 // PackageOf returns the loaded package with the given import path, or nil.
@@ -136,26 +130,24 @@ func (prog *Program) PackageOf(path string) *Package {
 
 // Directive names recognised on function declarations.
 const (
-	DirColdPath     = "coldpath"
-	DirOwnsScratch  = "owns-scratch"
-	DirAllocOK      = "alloc-ok"
-	DirHotPath      = "hotpath"
-	DirDeadlineRoot = "deadline-root"
-	DirBlockingOK   = "blocking-ok"
-	DirSpawnPoint   = "spawn-point"
-	DirCrossWorker  = "cross-worker-ok"
+	DirColdPath    = "coldpath"
+	DirOwnsScratch = "owns-scratch"
+	DirAllocOK     = "alloc-ok"
+	DirHotPath     = "hotpath"
+	DirBlockingOK  = "blocking-ok"
+	DirSpawnPoint  = "spawn-point"
+	DirCrossWorker = "cross-worker-ok"
 )
 
 // funcDirectives is the set of directive names attached to function
 // declarations (as opposed to line-level ones like alloc-ok).
 var funcDirectives = map[string]bool{
-	DirColdPath:     true,
-	DirOwnsScratch:  true,
-	DirHotPath:      true,
-	DirDeadlineRoot: true,
-	DirBlockingOK:   true,
-	DirSpawnPoint:   true,
-	DirCrossWorker:  true,
+	DirColdPath:    true,
+	DirOwnsScratch: true,
+	DirHotPath:     true,
+	DirBlockingOK:  true,
+	DirSpawnPoint:  true,
+	DirCrossWorker: true,
 }
 
 const dirPrefix = "//ltephy:"

@@ -8,8 +8,8 @@ import (
 
 // BlockingCall enforces the deadline discipline: no operation that can
 // block for an unbounded time may be reachable from a deadline-bound
-// root — a Stage entry point, a //ltephy:hotpath serving-loop function,
-// or a //ltephy:deadline-root driver. Inside the 5 ms subframe budget a
+// root — a Stage entry point or a //ltephy:hotpath serving-loop or
+// driver function. Inside the 5 ms subframe budget a
 // blocked worker is a missed deadline, so the analyzer flags, in every
 // reachable function:
 //
@@ -48,7 +48,7 @@ var blockingIOPkgs = map[string]bool{
 }
 
 func runBlockingCall(pass *Pass) error {
-	reach := pass.Prog.deadlineReach()
+	reach := pass.Prog.hotReach()
 	info := pass.Pkg.Info
 	for _, fd := range funcDecls(pass.Pkg) {
 		fn := declObj(info, fd)

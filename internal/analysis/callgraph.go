@@ -198,18 +198,6 @@ func (g *CallGraph) StageRoots() []string {
 	})
 }
 
-// DeadlineRoots returns the deadline-bound root set: the stage roots
-// plus every //ltephy:deadline-root function — the scheduler's per-user
-// driver loop and the turbo window fan-out, which run inside the 5 ms
-// subframe budget without themselves having the Stage entry shape.
-func (g *CallGraph) DeadlineRoots() []string {
-	return g.roots(func(fd *ast.FuncDecl, fn *types.Func, pkg *Package) bool {
-		return isStageEntry(fd, fn) ||
-			pkg.HasDirective(g.prog.Fset, fd, DirHotPath) ||
-			pkg.HasDirective(g.prog.Fset, fd, DirDeadlineRoot)
-	})
-}
-
 func (g *CallGraph) roots(pred func(*ast.FuncDecl, *types.Func, *Package) bool) []string {
 	var out []string
 	for key, fd := range g.decls {
@@ -262,9 +250,6 @@ func (g *CallGraph) Reachable(roots []string) *Reach {
 // Contains reports membership.
 func (r *Reach) Contains(key string) bool { return r.in[key] }
 
-// Set exposes the raw membership map (shared, do not mutate).
-func (r *Reach) Set() map[string]bool { return r.in }
-
 // Path renders the call chain from a root to key, innermost first
 // ("c ← b ← a" means a calls b calls c), trimmed to a handful of hops.
 func (r *Reach) Path(key string) string {
@@ -288,14 +273,14 @@ func shortKey(key string) string {
 	return key
 }
 
-// deadlineReach caches the deadline-root walk shared by blockingcall and
-// crossarena.
-func (prog *Program) deadlineReach() *Reach {
-	prog.deadlineOnce.Do(func() {
+// hotReach caches the walk from the stage roots, shared by hotpathalloc
+// and blockingcall: what must not allocate is what must not block.
+func (prog *Program) hotReach() *Reach {
+	prog.hotOnce.Do(func() {
 		g := prog.CallGraph()
-		prog.deadlineSet = g.Reachable(g.DeadlineRoots())
+		prog.hot = g.Reachable(g.StageRoots())
 	})
-	return prog.deadlineSet
+	return prog.hot
 }
 
 // lockSets caches the per-function transitive lock-acquisition sets the

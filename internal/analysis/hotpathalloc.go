@@ -51,19 +51,6 @@ func declObj(info *types.Info, fd *ast.FuncDecl) *types.Func {
 	return fn
 }
 
-// hotFuncs computes (once per Program) the set of funcKeys reachable
-// from the stage roots over the shared call graph — static calls plus
-// interface dispatch through program-declared interfaces, so a Stage
-// resolved through the registry or a deque behind the taskDeque
-// interface no longer hides its callees from the walk.
-func (prog *Program) hotFuncs() map[string]bool {
-	prog.hotOnce.Do(func() {
-		g := prog.CallGraph()
-		prog.hotSet = g.Reachable(g.StageRoots()).Set()
-	})
-	return prog.hotSet
-}
-
 // isStageEntry reports whether the declaration has the Stage entry shape:
 // named Run or RunBatch with *workspace.Arena as first parameter.
 func isStageEntry(fd *ast.FuncDecl, fn *types.Func) bool {
@@ -131,17 +118,26 @@ func runHotPathAlloc(pass *Pass) error {
 	if arenaExemptPkg(pass.Pkg) {
 		return nil
 	}
-	hot := pass.Prog.hotFuncs()
+	// The walk follows static calls plus interface dispatch through
+	// program-declared interfaces, so neither a Stage resolved through
+	// the registry nor a deque behind the taskDeque interface hides its
+	// callees.
+	hot := pass.Prog.hotReach()
 	info := pass.Pkg.Info
 	for _, fd := range funcDecls(pass.Pkg) {
 		fn := declObj(info, fd)
-		if fn == nil || !hot[funcKey(fn)] {
+		if fn == nil || !hot.Contains(funcKey(fn)) {
 			continue
 		}
 		checkHotFunc(pass, info, fd)
 	}
 	return nil
 }
+
+// addrAllocMsg reports a pointer to fresh storage: the object moves to
+// the heap whenever the pointer escapes (stored, returned, passed on),
+// which is why a per-user job or payload allocated this way is flagged.
+const addrAllocMsg = "%s in hot-path function %s heap-allocates once the pointer escapes; reuse owned storage or annotate //ltephy:alloc-ok"
 
 func checkHotFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	name := fd.Name.Name
@@ -159,6 +155,13 @@ func checkHotFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if _, isLit := ast.Unparen(u.X).(*ast.CompositeLit); isLit &&
+				!pass.Pkg.AllocOKLine(pass.Prog.Fset, u.Pos()) && !inPanic(u) {
+				pass.Reportf(u.Pos(), addrAllocMsg, "&T{}", name)
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -170,6 +173,8 @@ func checkHotFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 		case *ast.Ident:
 			if _, isBuiltin := info.ObjectOf(fun).(*types.Builtin); isBuiltin {
 				switch fun.Name {
+				case "new":
+					pass.Reportf(call.Pos(), addrAllocMsg, "new()", name)
 				case "make":
 					pass.Reportf(call.Pos(),
 						"make() in hot-path function %s bypasses the arena; draw scratch from the worker arena or annotate //ltephy:coldpath / //ltephy:alloc-ok", name)

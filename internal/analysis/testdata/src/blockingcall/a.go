@@ -1,7 +1,7 @@
 // Package blockingcall exercises the deadline-blocking analyzer. The
 // stage type mirrors the real uplink.Stage shape (Run with a
-// *workspace.Arena first parameter seeds the deadline-root walk), and a
-// //ltephy:deadline-root function covers the annotated-root path.
+// *workspace.Arena first parameter seeds the deadline-bound walk), and a
+// //ltephy:hotpath function covers the annotated-root path.
 package blockingcall
 
 import (
@@ -77,10 +77,10 @@ func warm() {
 	<-ch // no diagnostic: coldpath
 }
 
-// drive covers the //ltephy:deadline-root vocabulary: a driver loop that
-// is deadline-bound without having the Stage entry shape.
+// drive covers the //ltephy:hotpath vocabulary: a driver loop that is
+// deadline-bound without having the Stage entry shape.
 //
-//ltephy:deadline-root — fixture per-user driver loop.
+//ltephy:hotpath — fixture per-user driver loop.
 func drive(ch chan int) {
 	<-ch // want "channel receive in deadline-bound function"
 }

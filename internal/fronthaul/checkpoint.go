@@ -38,7 +38,7 @@ import (
 //	0    4     magic "LTCK"
 //	4    1     version (1)
 //	5    2     cell index
-//	7    1     admission started flag
+//	7    1     admission started flag (0 or 1)
 //	8    8     admission lastSeq (int64)
 //	16   8     admission budget (float64 bits)
 //	24   8     offeredEst (float64 bits)
@@ -218,7 +218,11 @@ func DecodeCheckpoint(b []byte) (*CellCheckpoint, error) {
 	}
 	r := &ckReader{b: body, off: 5}
 	ck := &CellCheckpoint{Cell: r.u16()}
-	ck.Admission.Started = r.u8() != 0
+	started := r.u8()
+	if started > 1 {
+		return nil, fmt.Errorf("%w: admission started flag %d", ErrCheckpoint, started)
+	}
+	ck.Admission.Started = started == 1
 	ck.Admission.LastSeq = r.i64()
 	ck.Admission.Budget = r.f64()
 	ck.OfferedEst = r.f64()

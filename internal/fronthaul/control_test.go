@@ -2,7 +2,9 @@ package fronthaul
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"testing"
 	"time"
@@ -41,10 +43,9 @@ func controlServerConfig(ant int) Config {
 	}
 }
 
-// TestCheckpointCodecRoundTrip: Encode/Decode is the identity, the
-// output is deterministic, and corruption is rejected.
-func TestCheckpointCodecRoundTrip(t *testing.T) {
-	ck := &CellCheckpoint{
+// sampleCheckpoint is a snapshot with every section populated.
+func sampleCheckpoint() *CellCheckpoint {
+	return &CellCheckpoint{
 		Cell:        3,
 		Admission:   AdmissionState{LastSeq: 41, Budget: 0.625, Started: true},
 		OfferedEst:  12.5,
@@ -62,6 +63,12 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 			{User: 5, PRB: 6, Layers: 1, Mod: 4, Rounds: 2, Mother: []float64{0.5, -1.25, 3}},
 		},
 	}
+}
+
+// TestCheckpointCodecRoundTrip: Encode/Decode is the identity, the
+// output is deterministic, and corruption is rejected.
+func TestCheckpointCodecRoundTrip(t *testing.T) {
+	ck := sampleCheckpoint()
 	b := ck.Encode()
 	if !bytes.Equal(b, ck.Encode()) {
 		t.Fatalf("encoding is not deterministic")
@@ -89,6 +96,38 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeCheckpoint(b[:8]); err == nil {
 		t.Fatalf("truncated snapshot accepted")
 	}
+}
+
+// sealCheckpoint appends the CRC-32 trailer to a snapshot body.
+func sealCheckpoint(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// FuzzDecodeCheckpoint feeds the LTCK decoder arbitrary snapshots, both as
+// given and sealed with a valid CRC so that mutations reach the field
+// parser. Decoding must never panic, and any snapshot it accepts must
+// re-encode byte for byte: two different snapshots never decode equal.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	valid := sampleCheckpoint().Encode()
+	body := valid[:len(valid)-4]
+	f.Add(valid)
+	f.Add(body)
+	f.Add((&CellCheckpoint{}).Encode())
+	f.Add(valid[:len(valid)/2])
+	flag := append([]byte(nil), body...)
+	flag[7] = 2 // an "admission started" flag that is neither 0 nor 1
+	f.Add(flag)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, b := range [][]byte{data, sealCheckpoint(data)} {
+			ck, err := DecodeCheckpoint(b)
+			if err != nil {
+				continue
+			}
+			if re := ck.Encode(); !bytes.Equal(re, b) {
+				t.Fatalf("accepted snapshot re-encodes differently:\n in %x\nout %x", b, re)
+			}
+		}
+	})
 }
 
 // TestControlMigration drives a full migration over the wire protocol:

@@ -55,10 +55,9 @@ func harqKey(cell uint16, user int) uint32 {
 //
 // Runs on worker goroutines via the result hook — off the ingest hot
 // path and only for CRC failures, so allocation here is acceptable.
+// r.SoftBits is borrowed from the worker's job: Absorb folds it into the
+// slot's own mother buffer before the hook returns.
 func (l *harqLedger) absorb(r uplink.UserResult) ([]uint8, bool) {
-	if r.SoftBits == nil {
-		return nil, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	k := harqKey(r.Cell, r.UserID)

@@ -59,7 +59,8 @@ type Config struct {
 	// (uplink.HARQProcess) keyed by the wire RV flag, and a verified
 	// combined decode counts the block as delivered in the KPI. Requires
 	// the rate-matched TurboFull receiver (Turbo == TurboFull and
-	// CodeRate > 0) and forces Receiver.KeepSoftBits. The ledger is the
+	// CodeRate > 0). The ledger absorbs each result's borrowed SoftBits
+	// inside the result hook, before the worker reuses them. It is the
 	// per-user state live cell migration checkpoints.
 	HARQ bool
 	// DrainTimeout bounds a control-plane cell drain: how long DrainCell
@@ -79,7 +80,9 @@ type Config struct {
 	RingDepth int
 	// Seed seeds the pools' steal RNGs.
 	Seed uint64
-	// OnResult, when non-nil, receives every admitted user's result.
+	// OnResult, when non-nil, receives every admitted user's result, with
+	// sched.Config.OnResult's borrow rule: Bits and SoftBits are valid
+	// until it returns, and a consumer that keeps them copies them.
 	OnResult func(uplink.UserResult)
 }
 
@@ -143,7 +146,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.Receiver.Turbo != uplink.TurboFull || c.Receiver.CodeRate == 0 {
 			return c, fmt.Errorf("fronthaul: HARQ requires the rate-matched TurboFull receiver (turbo=full, rate > 0)")
 		}
-		c.Receiver.KeepSoftBits = true
 	}
 	return c, nil
 }

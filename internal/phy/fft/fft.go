@@ -145,7 +145,10 @@ type SplitPlan[F workspace.Float] struct {
 
 // NewSplit returns a split-plane transform plan for vectors of length n.
 // It panics if n <= 0; a zero-length transform has no meaning here and
-// indicates a bug in the caller's size computation.
+// indicates a bug in the caller's size computation. The receiver reaches
+// it only on a plan-cache miss (GetSplit).
+//
+//ltephy:coldpath — plan construction.
 func NewSplit[F workspace.Float](n int) *SplitPlan[F] {
 	if n <= 0 {
 		panic(fmt.Sprintf("fft: invalid transform length %d", n))

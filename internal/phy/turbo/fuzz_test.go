@@ -110,7 +110,7 @@ func FuzzTurboQuantized(f *testing.F) {
 		// Window fan-out determinism: reverse execution order must be
 		// bit-identical (including the realized half-iteration count).
 		po := opts
-		po.Par = reverseOrder
+		po.Par = reverseOrder()
 		qb2, qh2 := c.DecodeQuant(llr, po)
 		if qh2 != qh {
 			t.Fatalf("K=%d: fan-out changed half-iterations %d -> %d", k, qh, qh2)

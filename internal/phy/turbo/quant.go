@@ -45,10 +45,31 @@ import (
 // (extrinsic-stability fallback).
 
 // Parallel runs fn(0..n-1), possibly concurrently, returning only when
-// all calls have completed. A nil Parallel means serial execution. The
-// scheduler (internal/sched) provides one backed by its work-stealing
-// pool so one code block's windows spread across workers.
+// all calls have completed. The scheduler (internal/sched) provides one
+// backed by its work-stealing pool so one code block's windows spread
+// across workers.
 type Parallel func(n int, fn func(i int))
+
+// Fanout hands each half-iteration's windows to a Parallel hook without
+// allocating: the window callback is built once, and reads the
+// half-iteration's state stored here before each hand-off. It serves one
+// decode at a time (build one per worker). A nil *Fanout decodes serially.
+type Fanout struct {
+	par    Parallel
+	window func(int)
+	dc     qConstituent
+	cur    []uint8
+	posMap []int32
+}
+
+// NewFanout wraps p for DecodeOpts.Par.
+func NewFanout(p Parallel) *Fanout {
+	f := &Fanout{par: p}
+	f.window = f.run
+	return f
+}
+
+func (f *Fanout) run(w int) { f.dc.window(w, f.cur, f.posMap) }
 
 // DecodeOpts configures the quantized decode path.
 type DecodeOpts struct {
@@ -64,7 +85,7 @@ type DecodeOpts struct {
 	CheckOffset int
 	// Par, when non-nil, runs the per-window trellis passes of each
 	// half-iteration concurrently.
-	Par Parallel
+	Par *Fanout
 }
 
 const (
@@ -177,31 +198,24 @@ func (d *qdecoderState) load(c *Codec, llr []float64) {
 // apriori; constituent 1 decodes in interleaved order, and its decisions
 // land in natural order through the permutation, so the CRC gate runs
 // without a deinterleave pass.
-func (d *qdecoderState) half(c *Codec, i int, cur []uint8, p Parallel) {
+// The fan-out gets a copy of the constituent, whose slices the windows
+// write through, so the decoder state itself stays off the heap.
+func (d *qdecoderState) half(c *Codec, i int, cur []uint8, f *Fanout) {
 	dc, order, posMap := &d.dec[i], c.il.inv, []int32(nil)
 	if i == 1 {
 		order, posMap = c.il.perm, c.il.perm
 	}
 	permute(dc.apr, d.dec[1-i].ext, order)
-	if p == nil {
+	if f == nil {
 		for w := 0; w < d.nw; w++ {
 			dc.window(w, cur, posMap)
 		}
 	} else {
-		dc.fanOut(d.nw, cur, posMap, p)
+		f.dc, f.cur, f.posMap = *dc, cur, posMap
+		f.par(d.nw, f.window)
 	}
 	dc.aPrev, dc.aCur = dc.aCur, dc.aPrev
 	dc.bPrev, dc.bCur = dc.bCur, dc.bPrev
-}
-
-// fanOut runs the windows of one half-iteration through p. The receiver
-// is a copy, so the closure pins that copy and not the decoder state: the
-// serial path keeps its state off the heap.
-func (dc qConstituent) fanOut(nw int, cur []uint8, posMap []int32, p Parallel) {
-	//ltephy:alloc-ok — one fan-out closure per half-iteration, only on
-	// the explicitly-parallel path; the serial loop in half is the
-	// zero-alloc one.
-	p(nw, func(w int) { dc.window(w, cur, posMap) })
 }
 
 // qStop evaluates the per-half-iteration termination gates: the CRC check

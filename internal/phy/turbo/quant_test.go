@@ -83,7 +83,7 @@ func TestQuantMatchesOracleCorpus(t *testing.T) {
 }
 
 // TestQuantWindowDeterminism runs the same decode serially and through
-// Parallel shims of several widths (including an out-of-order one) and
+// fan-outs over Parallel shims (including an out-of-order one) and
 // requires bit-identical decisions and identical half-iteration counts.
 func TestQuantWindowDeterminism(t *testing.T) {
 	const k = 6144
@@ -97,9 +97,9 @@ func TestQuantWindowDeterminism(t *testing.T) {
 
 	ref, refHalf := c.DecodeQuant(llr, DecodeOpts{Iterations: 6})
 
-	shims := map[string]Parallel{
-		"reverse": reverseOrder,
-		"goroutines": func(n int, fn func(int)) {
+	shims := map[string]*Fanout{
+		"reverse": reverseOrder(),
+		"goroutines": NewFanout(func(n int, fn func(int)) {
 			done := make(chan int)
 			for i := 0; i < n; i++ {
 				go func(i int) { fn(i); done <- i }(i)
@@ -107,7 +107,7 @@ func TestQuantWindowDeterminism(t *testing.T) {
 			for i := 0; i < n; i++ {
 				<-done
 			}
-		},
+		}),
 	}
 	for name, p := range shims {
 		t.Run(name, func(t *testing.T) {
@@ -571,11 +571,13 @@ func refDecodeQuant(c *Codec, llr []float64, opts DecodeOpts) ([]uint8, int) {
 	return prev, halfIters
 }
 
-// reverseOrder is a Parallel that runs the windows last to first.
-func reverseOrder(n int, fn func(int)) {
-	for i := n - 1; i >= 0; i-- {
-		fn(i)
-	}
+// reverseOrder returns a fan-out that runs the windows last to first.
+func reverseOrder() *Fanout {
+	return NewFanout(func(n int, fn func(int)) {
+		for i := n - 1; i >= 0; i-- {
+			fn(i)
+		}
+	})
 }
 
 // diffQState names the first buffer in which two decoder states differ.
@@ -638,7 +640,7 @@ func TestWindowKernelMatchesReference(t *testing.T) {
 			inputs = append(inputs, input{fmt.Sprintf("awgn%+gdB", ebn0), awgnLLR(rng, coded, ebn0)})
 		}
 		for _, in := range inputs {
-			for _, par := range []Parallel{nil, reverseOrder} {
+			for _, par := range []*Fanout{nil, reverseOrder()} {
 				name, llr := in.name, in.llr
 				t.Run(fmt.Sprintf("%s/%s/par=%v", sizeName(k), name, par != nil), func(t *testing.T) {
 					got, want := newQDecoderState(nil, k), newQDecoderState(nil, k)

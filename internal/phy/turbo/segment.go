@@ -159,7 +159,7 @@ type SegDecodeOpts struct {
 	Iterations int
 	// Par fans one code block's trellis windows out across workers
 	// (nil = serial).
-	Par Parallel
+	Par *Fanout
 	// TBCheck, when non-nil and C == 1, gates early termination on the
 	// transport-block CRC: it is called per half-iteration with the
 	// decoded transport block (filler stripped). Segments with C > 1

@@ -258,27 +258,30 @@ func ApplyGating(series []float64, res *sim.Result, p Params) ([]float64, error)
 }
 
 // FromWorkerStats estimates what a native worker-pool run would dissipate
-// on the modelled TILEPro64: each worker's busy/nap/spin time fractions
-// over the wall-clock window map to the per-core state powers. This lets
-// cmd/lte-bench report an as-if power figure for host runs (extension —
-// the paper measures only the real chip).
-func FromWorkerStats(busyNanos, napNanos []int64, wallNanos int64, p Params) (float64, error) {
+// on the modelled TILEPro64: each worker's busy/nap/park/spin time
+// fractions over the wall-clock window map to the per-core state powers.
+// This lets cmd/lte-bench report an as-if power figure for host runs
+// (extension — the paper measures only the real chip).
+//
+// A napping worker is a deactivated core that wakes periodically to check
+// its status (deepNapW). A parked worker's thread sleeps in the kernel
+// until a push wakes it, with no periodic check, so it is priced at the
+// bare nap power NapW.
+func FromWorkerStats(busyNanos, napNanos, parkNanos []int64, wallNanos int64, p Params) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	if len(busyNanos) != len(napNanos) || wallNanos <= 0 {
-		return 0, fmt.Errorf("power: inconsistent stats (%d busy, %d nap, wall %d)",
-			len(busyNanos), len(napNanos), wallNanos)
+	if len(busyNanos) != len(napNanos) || len(busyNanos) != len(parkNanos) || wallNanos <= 0 {
+		return 0, fmt.Errorf("power: inconsistent stats (%d busy, %d nap, %d park, wall %d)",
+			len(busyNanos), len(napNanos), len(parkNanos), wallNanos)
 	}
 	total := p.BaseW
 	for i := range busyNanos {
 		busy := clampFrac(float64(busyNanos[i]) / float64(wallNanos))
-		nap := clampFrac(float64(napNanos[i]) / float64(wallNanos))
-		if busy+nap > 1 {
-			nap = 1 - busy
-		}
-		spin := 1 - busy - nap
-		total += busy*p.BusyW + spin*p.SpinW + nap*p.deepNapW()
+		nap := min(clampFrac(float64(napNanos[i])/float64(wallNanos)), 1-busy)
+		park := min(clampFrac(float64(parkNanos[i])/float64(wallNanos)), 1-busy-nap)
+		spin := 1 - busy - nap - park
+		total += busy*p.BusyW + spin*p.SpinW + nap*p.deepNapW() + park*p.NapW
 	}
 	return total, nil
 }

@@ -262,7 +262,7 @@ func TestMean(t *testing.T) {
 func TestFromWorkerStats(t *testing.T) {
 	p := noThermal()
 	// Two workers: one fully busy, one fully napping, over 1 s.
-	w, err := FromWorkerStats([]int64{1e9, 0}, []int64{0, 1e9}, 1e9, p)
+	w, err := FromWorkerStats([]int64{1e9, 0}, []int64{0, 1e9}, []int64{0, 0}, 1e9, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +270,17 @@ func TestFromWorkerStats(t *testing.T) {
 	if math.Abs(w-want) > 1e-9 {
 		t.Errorf("power = %g, want %g", w, want)
 	}
+	// A worker parked for half the window costs half NapW, spinning the
+	// other half half SpinW.
+	wp, err := FromWorkerStats([]int64{0}, []int64{0}, []int64{5e8}, 1e9, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := p.BaseW + 0.5*p.NapW + 0.5*p.SpinW; math.Abs(wp-want) > 1e-9 {
+		t.Errorf("half-parked power = %g, want %g", wp, want)
+	}
 	// A fully spinning worker costs SpinW.
-	w2, err := FromWorkerStats([]int64{0}, []int64{0}, 1e9, p)
+	w2, err := FromWorkerStats([]int64{0}, []int64{0}, []int64{0}, 1e9, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +288,20 @@ func TestFromWorkerStats(t *testing.T) {
 		t.Errorf("spin-only power = %g", w2)
 	}
 	// Fractions clamp instead of exploding on clock skew.
-	w3, err := FromWorkerStats([]int64{2e9}, []int64{0}, 1e9, p)
+	w3, err := FromWorkerStats([]int64{2e9}, []int64{0}, []int64{1e9}, 1e9, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w3 > p.BaseW+p.BusyW+1e-9 {
 		t.Errorf("overlong busy not clamped: %g", w3)
 	}
-	if _, err := FromWorkerStats([]int64{1}, []int64{1, 2}, 1e9, p); err == nil {
+	if _, err := FromWorkerStats([]int64{1}, []int64{1, 2}, []int64{1}, 1e9, p); err == nil {
 		t.Error("mismatched stats accepted")
 	}
-	if _, err := FromWorkerStats(nil, nil, 0, p); err == nil {
+	if _, err := FromWorkerStats([]int64{1}, []int64{1}, nil, 1e9, p); err == nil {
+		t.Error("missing park stats accepted")
+	}
+	if _, err := FromWorkerStats(nil, nil, nil, 0, p); err == nil {
 		t.Error("zero wall accepted")
 	}
 }

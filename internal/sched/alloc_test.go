@@ -7,18 +7,17 @@ import (
 	"testing"
 
 	"ltephy/internal/phy/modulation"
+	"ltephy/internal/phy/turbo"
 	"ltephy/internal/uplink"
 )
 
 // TestPoolSteadyStateAllocs is the task path's allocation gate. After
-// warm-up, a 3-user subframe through SubmitSubframeFin may allocate only
-// what escapes by design: per user the fresh UserJob and its decoded
-// payload. Spawning stage and window tasks, joining them, waking and
-// completing allocate nothing, on one worker and on two. With full turbo
-// on two workers each window fan-out also costs the decoder its own
-// closure and the constituent copy it captures (internal/phy/turbo fanOut,
-// outside the scheduler), so that case is pinned against a count of the
-// fan-outs taken.
+// warm-up, a 3-user subframe through SubmitSubframeFin allocates nothing,
+// on one worker and on two: each worker reuses its job and the job's
+// payload storage, and spawning stage and window tasks, joining them,
+// waking and completing allocate nothing. With full turbo on two workers
+// the subframe takes the decoder's window fan-out, and a count of the
+// fan-outs taken pins that the case still covers it.
 func TestPoolSteadyStateAllocs(t *testing.T) {
 	users := []uplink.UserParams{
 		{ID: 0, PRB: 8, Layers: 2, Mod: modulation.QAM16},
@@ -26,12 +25,12 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 		{ID: 2, PRB: 6, Layers: 4, Mod: modulation.QAM64},
 	}
 	const (
-		perUser   = 2 // &uplink.UserJob{} and the result's payload
-		perFanout = 2 // the decoder's window closure and its captured state
+		perUser   = 0
+		perFanout = 0
 	)
-	for _, turbo := range []bool{false, true} {
+	for _, full := range []bool{false, true} {
 		rc, us := uplink.DefaultConfig(), users
-		if turbo {
+		if full {
 			rc = turboReceiver()
 			us = append([]uplink.UserParams{turboMaxUser}, users[1:]...)
 		}
@@ -41,7 +40,7 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("turbo=%v/workers=%d", turbo, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("turbo=%v/workers=%d", full, workers), func(t *testing.T) {
 				cfg := DefaultPoolConfig()
 				cfg.Workers = workers
 				cfg.Receiver = rc
@@ -51,11 +50,10 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 				}
 				var fanouts atomic.Int64
 				for _, w := range pool.workers {
-					hook := w.fanout
-					w.fanout = func(n int, fn func(int)) {
+					w.fanout = turbo.NewFanout(func(n int, fn func(int)) {
 						fanouts.Add(1)
-						hook(n, fn)
-					}
+						w.runWindows(n, fn)
+					})
 				}
 				pool.start()
 				defer pool.Close()
@@ -75,7 +73,7 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 				got := testing.AllocsPerRun(runs, run)
 				// AllocsPerRun makes one extra warm-up call.
 				taken := float64(fanouts.Load()) / (runs + 1)
-				if turbo && workers > 1 && taken == 0 {
+				if full && workers > 1 && taken == 0 {
 					t.Fatal("no window fan-out taken; the turbo case no longer covers runWindows")
 				}
 				want := float64(perUser*len(us)) + perFanout*taken

@@ -249,8 +249,11 @@ func NewCollector() *Collector {
 	return &Collector{results: make(map[int64][]uplink.UserResult)}
 }
 
-// Add records one result; safe for concurrent use.
+// Add records one result; safe for concurrent use. It keeps a copy of the
+// borrowed Bits and drops the borrowed SoftBits.
 func (c *Collector) Add(r uplink.UserResult) {
+	r.Bits = append([]uint8(nil), r.Bits...)
+	r.SoftBits = nil
 	c.mu.Lock()
 	c.results[r.Seq] = append(c.results[r.Seq], r)
 	c.mu.Unlock()

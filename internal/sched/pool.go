@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ltephy/internal/obs"
+	"ltephy/internal/phy/turbo"
 	"ltephy/internal/phy/workspace"
 	"ltephy/internal/rng"
 	"ltephy/internal/uplink"
@@ -72,7 +73,10 @@ type Config struct {
 	// status has changed".
 	NapCheckPeriod time.Duration
 	// OnResult, when non-nil, receives every user result. It is called
-	// from worker goroutines and must be safe for concurrent use.
+	// from worker goroutines and must be safe for concurrent use. The
+	// result's Bits and SoftBits are borrowed: the worker reuses them for
+	// its next user once OnResult returns, so a consumer that keeps them
+	// must copy them (Collector.Add does).
 	OnResult func(uplink.UserResult)
 	// Seed randomises steal victim selection.
 	Seed uint64
@@ -104,9 +108,11 @@ type WorkerStats struct {
 	Steals       int64
 	FailedSteals int64
 	// BusyNanos is time spent in useful processing (get_cycle_count deltas
-	// in the paper), NapNanos time spent deactivated.
+	// in the paper), NapNanos time spent deactivated, ParkNanos time spent
+	// parked. They never overlap.
 	BusyNanos int64
 	NapNanos  int64
+	ParkNanos int64
 }
 
 // spinSweeps is how many consecutive empty sweeps (local deque, global
@@ -160,25 +166,32 @@ type worker struct {
 	// per-task SetGoroutineLabels swap allocation-free.
 	baseCtx  context.Context
 	stageCtx [obs.NumStages]context.Context
+	// job is reused for every user this worker runs, which is why OnResult
+	// only borrows a result's Bits and SoftBits.
+	job uplink.UserJob
 	// join is the completion counter of this worker's open stage or window
 	// fan-out; thieves decrement it through Task.rem. A worker has at most
 	// one open join: runStage and runWindows never nest, because the only
 	// caller of the window hook is the backend stage, which is serial and
 	// runs inline on the user thread.
 	join atomic.Int64
-	// fanout is the turbo window hook (runWindows as a method value), built
-	// once so that installing it per user allocates nothing; seq and user
-	// label the windows of the user being processed.
-	fanout func(n int, fn func(int))
+	// fanout is the turbo window fan-out over runWindows, built once so
+	// that it allocates nothing per user or per half-iteration; seq and
+	// user label the windows of the user being processed.
+	fanout *turbo.Fanout
 	seq    int64
 	user   int32
-	stats  struct {
+	// taskNanos is the time runTask has charged to busy. An inline stage
+	// subtracts what accrued while it ran, so busy time is exclusive.
+	taskNanos int64
+	stats     struct {
 		tasksRun     atomic.Int64
 		usersStarted atomic.Int64
 		steals       atomic.Int64
 		failedSteals atomic.Int64
 		busyNanos    atomic.Int64
 		napNanos     atomic.Int64
+		parkNanos    atomic.Int64
 	}
 }
 
@@ -224,7 +237,7 @@ func newPool(cfg Config) (*Pool, error) {
 				pprof.Labels("stage", obs.StageNames[c]))
 		}
 		w.local = &deque{}
-		w.fanout = w.runWindows
+		w.fanout = turbo.NewFanout(w.runWindows)
 		p.workers[i] = w
 	}
 	return p, nil
@@ -398,6 +411,7 @@ func (p *Pool) StatsInto(dst []WorkerStats) []WorkerStats {
 			FailedSteals: w.stats.failedSteals.Load(),
 			BusyNanos:    w.stats.busyNanos.Load(),
 			NapNanos:     w.stats.napNanos.Load(),
+			ParkNanos:    w.stats.parkNanos.Load(),
 		}
 	}
 	return dst
@@ -510,13 +524,15 @@ func (w *worker) idle(sweeps int) int {
 // change or Close sends a token. It registers in parked before its final
 // look for work, so whatever became visible before a waker read parked is
 // seen here, and whatever becomes visible after is followed by a token.
-// Parked time is charged to neither the busy nor the nap counter: the
-// worker is not deactivated, only descheduled by the Go runtime.
+// Parked time has its own counter: the worker is not deactivated, only
+// descheduled by the Go runtime.
 func (w *worker) park() {
 	p := w.pool
 	p.parked.Add(1)
 	if !p.closed.Load() && w.id < int(p.active.Load()) && !p.hasWork() {
+		start := obs.Nanotime()
 		<-p.wakeCh
+		w.stats.parkNanos.Add(obs.Nanotime() - start)
 	}
 	p.parked.Add(-1)
 }
@@ -590,6 +606,7 @@ func (w *worker) runTask(t Task) {
 	t.rem.Add(-1)
 	end := obs.Nanotime()
 	w.stats.busyNanos.Add(end - start)
+	w.taskNanos += end - start
 	w.stats.tasksRun.Add(1)
 	if on {
 		w.rec.StageSpan(t.cls, t.seq, t.user, t.task, start, end)
@@ -603,18 +620,18 @@ func (w *worker) runTask(t Task) {
 //
 // Arena discipline: the job-lifetime buffers are carved from THIS worker's
 // arena under a mark taken here, and released only after the result has
-// been delivered. Tasks stolen by other workers write into those buffers
-// (memory is just memory) but draw their own transient scratch from the
-// thief's arena. While helping, this worker only ever executes stage
+// been delivered, which is what lets OnResult borrow the soft bits. Tasks
+// stolen by other workers write into those buffers (memory is just
+// memory) but draw their own transient scratch from the thief's arena. While helping, this worker only ever executes stage
 // tasks (its own or stolen), never another processUser — users are picked
 // up solely from the global queue in run() — so every nested Mark/Release
 // brackets a single task and the stack discipline holds trivially.
 //
-// This is the per-user deadline root: the driver loop allocates the job
-// by design (not a zero-alloc root) but everything it reaches runs
-// inside the subframe budget and must never block.
+// The worker's job is reused for every user, so after warm-up nothing
+// here allocates, and everything it reaches runs inside the subframe
+// budget and must never block.
 //
-//ltephy:deadline-root
+//ltephy:hotpath — runs once per user.
 func (w *worker) processUser(qu queuedUser) {
 	w.stats.usersStarted.Add(1)
 	defer func() {
@@ -630,9 +647,7 @@ func (w *worker) processUser(qu queuedUser) {
 	user := int32(qu.data.Params.ID)
 	start := obs.Nanotime()
 	m := w.ws.Mark()
-	// A fresh job per user: results escape through OnResult, and a reused
-	// job would recycle the previous result's payload storage.
-	job := &uplink.UserJob{}
+	job := &w.job
 	if err := job.Init(w.ws, w.pool.cfg.Receiver, qu.data); err != nil {
 		// Malformed input is a caller bug; surface it loudly rather than
 		// silently dropping the user. Release first so a recovering test
@@ -664,11 +679,13 @@ func (w *worker) processUser(qu queuedUser) {
 		cls := uint8(si)
 		n := s.Tasks(job)
 		if n == 1 {
-			// Serial stage (weights, backend): run inline, no spawn.
+			// Serial stage (weights, backend): run inline, no spawn, and
+			// charge busy time net of the tasks run meanwhile.
+			nested := w.taskNanos
 			start = obs.Nanotime()
 			s.Run(w.ws, job, 0)
 			end = obs.Nanotime()
-			w.stats.busyNanos.Add(end - start)
+			w.stats.busyNanos.Add(end - start - (w.taskNanos - nested))
 			w.rec.StageSpan(cls, qu.seq, user, 0, start, end)
 			continue
 		}
@@ -678,6 +695,7 @@ func (w *worker) processUser(qu queuedUser) {
 	res := job.Result()
 	res.Seq = qu.seq
 	res.Cell = qu.cell
+	res.SoftBits = job.SoftBits()
 	if w.pool.cfg.OnResult != nil {
 		w.pool.cfg.OnResult(res)
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"sync"
@@ -170,6 +171,57 @@ func TestVerifySingleWorker(t *testing.T) {
 	poolCfg.Workers = 1
 	if err := Verify(poolCfg, testDispatcherConfig(), smallTrace(t, 10)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOnResultBorrowsBits pins the borrow rule of Config.OnResult: a
+// result's Bits belong to the worker's job, which reuses them for its next
+// user once OnResult returns. On one worker, an OnResult that keeps user
+// 0's Bits without copying finds a later user's payload in them, while
+// Collector's copies still match the serial reference.
+func TestOnResultBorrowsBits(t *testing.T) {
+	users := []uplink.UserParams{
+		{ID: 0, PRB: 4, Layers: 1, Mod: modulation.QPSK},
+		{ID: 1, PRB: 4, Layers: 1, Mod: modulation.QPSK},
+	}
+	sf, err := NewDispatcher(testDispatcherConfig()).Subframe(0, users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := uplink.ProcessSubframe(uplink.DefaultConfig(), sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(want[0].Bits, want[1].Bits) {
+		t.Fatal("both users decoded the same payload; the test cannot tell them apart")
+	}
+	col := NewCollector()
+	var kept []uint8
+	cfg := DefaultPoolConfig()
+	cfg.Workers = 1
+	cfg.OnResult = func(r uplink.UserResult) {
+		if r.UserID == 0 {
+			kept = r.Bits
+		}
+		col.Add(r)
+	}
+	pool, err := NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.ProcessSubframe(sf)
+	pool.Close()
+	if bytes.Equal(kept, want[0].Bits) {
+		t.Error("user 0's uncopied Bits survived a later user: the worker no longer reuses its job's payload storage")
+	}
+	got := col.Sorted()
+	if len(got) != len(want) {
+		t.Fatalf("collected %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Errorf("user %d: collected result differs from the serial reference", i)
+		}
 	}
 }
 
@@ -542,11 +594,12 @@ func TestDriveActiveWorkers(t *testing.T) {
 }
 
 // TestNativeNapPowerSavings is the paper's IDLE-vs-NONAP comparison run on
-// the real goroutine runtime: with long idle gaps between subframes,
-// nap-on-idle workers accumulate nap time and the as-if TILEPro64 power
-// estimate drops well below the always-spinning configuration.
+// the real goroutine runtime: with long idle gaps between subframes, both
+// idle policies — nap-on-idle and the default spin-then-park — keep their
+// workers napping or parked, and the as-if TILEPro64 power estimate drops
+// well below what the same busy time costs on always-spinning cores.
 func TestNativeNapPowerSavings(t *testing.T) {
-	measure := func(napOnIdle bool) float64 {
+	measure := func(napOnIdle bool) (idle, spinning float64) {
 		cfg := DefaultPoolConfig()
 		cfg.Workers = 4
 		cfg.NapOnIdle = napOnIdle
@@ -575,26 +628,32 @@ func TestNativeNapPowerSavings(t *testing.T) {
 
 		busy := make([]int64, len(after))
 		nap := make([]int64, len(after))
+		park := make([]int64, len(after))
 		for i := range after {
 			busy[i] = after[i].BusyNanos - before[i].BusyNanos
 			nap[i] = after[i].NapNanos - before[i].NapNanos
+			park[i] = after[i].ParkNanos - before[i].ParkNanos
 		}
-		w, err := power.FromWorkerStats(busy, nap, wall.Nanoseconds(), power.Default())
+		none := make([]int64, len(after))
+		idle, err = power.FromWorkerStats(busy, nap, park, wall.Nanoseconds(), power.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w
+		spinning, err = power.FromWorkerStats(busy, none, none, wall.Nanoseconds(), power.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idle, spinning
 	}
 
-	spin := measure(false)
-	napping := measure(true)
-	if napping >= spin {
-		t.Errorf("nap-on-idle as-if power %.2f W not below spinning %.2f W", napping, spin)
-	}
-	// With ~4 mostly idle cores the gap should be a visible fraction of the
-	// 4 * (SpinW - napW) ~ 0.6 W ceiling.
-	if spin-napping < 0.1 {
-		t.Errorf("nap saving only %.3f W; idle detection not engaging", spin-napping)
+	for _, napOnIdle := range []bool{false, true} {
+		idle, spinning := measure(napOnIdle)
+		// With ~4 mostly idle cores the gap should be a visible fraction of
+		// the 4 * (SpinW - napW) ~ 0.6 W ceiling.
+		if spinning-idle < 0.1 {
+			t.Errorf("napOnIdle=%v: as-if power %.2f W saves only %.3f W over spinning %.2f W; idle detection not engaging",
+				napOnIdle, idle, spinning-idle, spinning)
+		}
 	}
 }
 

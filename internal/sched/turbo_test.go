@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ltephy/internal/obs"
 	"ltephy/internal/params"
 	"ltephy/internal/phy/modulation"
 	"ltephy/internal/uplink"
@@ -25,12 +26,6 @@ func turboReceiver() uplink.ReceiverConfig {
 
 var turboMaxUser = uplink.UserParams{ID: 0, PRB: 14, Layers: 1, Mod: modulation.QAM64}
 
-// TestTurboFanoutDeterministicAcrossWorkers is the fan-out acceptance
-// check: a subframe whose backend is one maximum-size code block must
-// produce bit-identical results — payload, CRC and realized
-// half-iteration count — on the serial reference and on pools of every
-// worker count, because trellis windows are independent and write
-// disjoint state no matter which worker runs them.
 // turboDispatcherConfig aligns the transmitter with the TurboFull
 // receiver: the dispatcher must encode what the pool will decode.
 func turboDispatcherConfig(rc uplink.ReceiverConfig) DispatcherConfig {
@@ -39,6 +34,12 @@ func turboDispatcherConfig(rc uplink.ReceiverConfig) DispatcherConfig {
 	return dc
 }
 
+// TestTurboFanoutDeterministicAcrossWorkers is the fan-out acceptance
+// check: a subframe whose backend is one maximum-size code block must
+// produce bit-identical results — payload, CRC and realized
+// half-iteration count — on the serial reference and on pools of every
+// worker count, because trellis windows are independent and write
+// disjoint state no matter which worker runs them.
 func TestTurboFanoutDeterministicAcrossWorkers(t *testing.T) {
 	rc := turboReceiver()
 	d := NewDispatcher(turboDispatcherConfig(rc))
@@ -106,6 +107,52 @@ func TestTurboFanoutSpawnsWindowTasks(t *testing.T) {
 	stageTasks := int64(4 + 12) // antennas*layers chanest + 12*layers data
 	if total <= stageTasks {
 		t.Errorf("ran %d tasks, want > %d: turbo windows never became tasks", total, stageTasks)
+	}
+}
+
+// TestBusyTimeExclusive pins that a worker's busy, nap and park time
+// never overlap, so activity (Eq. 2) cannot exceed 1. The subframes fan
+// the turbo decode out: the backend stage runs inline on the user thread
+// while window tasks, its own and stolen ones, run inside it. Over the
+// pool's whole life — started after the clock, closed before it stops, so
+// no park straddles the window — busy + nap + park stays within the wall
+// time for every worker.
+func TestBusyTimeExclusive(t *testing.T) {
+	rc := turboReceiver()
+	rc.TurboIterations = 8
+	dc := turboDispatcherConfig(rc)
+	dc.TX.SNRdB = 0 // undecodable: every half-iteration fans out
+	sf, err := NewDispatcher(dc).Subframe(0, []uplink.UserParams{turboMaxUser})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const subframes = 4
+	for _, workers := range []int{2, 4} {
+		cfg := DefaultPoolConfig()
+		cfg.Workers = workers
+		cfg.Receiver = rc
+		pool, err := newPool(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := obs.Nanotime()
+		pool.start()
+		for range subframes {
+			pool.ProcessSubframe(sf)
+		}
+		pool.Close()
+		wall := obs.Nanotime() - start
+		var tasks int64
+		for i, s := range pool.Stats() {
+			tasks += s.TasksRun
+			if sum := s.BusyNanos + s.NapNanos + s.ParkNanos; sum > wall {
+				t.Errorf("workers=%d: worker %d busy %d + nap %d + park %d = %d ns exceeds wall %d ns",
+					workers, i, s.BusyNanos, s.NapNanos, s.ParkNanos, sum, wall)
+			}
+		}
+		if stageTasks := int64(subframes * (4 + 12)); tasks <= stageTasks {
+			t.Fatalf("workers=%d: ran %d tasks, want > %d: the decode no longer fans out", workers, tasks, stageTasks)
+		}
 	}
 }
 

@@ -51,15 +51,12 @@ func runReceiver(t *testing.T, rc uplink.ReceiverConfig, u *uplink.UserData) (*u
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < job.NumChanEstTasks(); i++ {
-		job.ChanEstTask(i)
+	for _, s := range job.Stages() {
+		for i := range s.Tasks(job) {
+			s.Run(nil, job, i)
+		}
 	}
-	job.ComputeWeights()
-	for i := 0; i < job.NumDataTasks(); i++ {
-		job.DataTask(i)
-	}
-	res := job.Finish()
-	return job, res.CRCOK
+	return job, job.Result().CRCOK
 }
 
 // TestHARQIncrementalRedundancy is the end-to-end HARQ scenario: a heavily

@@ -25,9 +25,9 @@ import (
 //	stage 4: backend (demap/decode/CRC)                  — serial
 //
 // Stages() returns the pipeline as Stage values resolved through the
-// estimator/combiner registries; the per-method API (ChanEstTask,
-// ComputeWeights, DataTask, Finish) remains as a convenience wrapper over
-// the same kernels with heap-backed scratch.
+// estimator/combiner registries; it is the one way to run a job, whether
+// by the pool, the serial receiver or a caller with heap scratch (a nil
+// arena).
 //
 // Tasks within a stage may run concurrently on different goroutines; the
 // stage boundaries are barriers the caller must enforce (the work-stealing
@@ -46,9 +46,9 @@ import (
 // from ws; they are valid until the caller releases the mark enclosing the
 // job. Per-task scratch comes from the arena passed to each Stage.Run call
 // — the executing worker's, which need not be the one that owns the job's
-// buffers. Decoded payload bits are always heap memory (they outlive the
-// job), demapped soft bits live wherever the finish stage's arena puts
-// them.
+// buffers; the demapped soft bits are job-lifetime too. Decoded payload
+// bits are heap memory the next Init recycles, so a result's Bits, like
+// SoftBits, are borrowed: a caller that keeps them past that copies them.
 type UserJob struct {
 	Cfg ReceiverConfig
 	U   *UserData
@@ -71,7 +71,7 @@ type UserJob struct {
 	nv float64
 	// softBits are the demapped (and descrambled) LLRs the finish stage
 	// produced — the input HARQ combining needs for retransmission
-	// soft-combining. Arena-backed when finish ran with an arena.
+	// soft-combining. Carved from the job's arena when it has one.
 	softBits []float64
 	// cfo is the estimated carrier frequency offset (fraction of the
 	// subcarrier spacing), resolved in the weight stage when Cfg.CorrectCFO.
@@ -79,15 +79,14 @@ type UserJob struct {
 
 	// res is the finished result; bits is its reusable heap backing for the
 	// decoded payload. Re-initialising a job recycles bits, so a result's
-	// Bits are only valid until the job's next run — drivers that retain
-	// results (the pool's OnResult) use a fresh job per user.
+	// Bits are only valid until the job's next run.
 	res  UserResult
 	bits []uint8
 
 	// par, when set (after Init — Init clears it), lets the turbo
 	// decoder fan one code block's trellis windows out across scheduler
 	// workers instead of serializing a large block on one core.
-	par turbo.Parallel
+	par *turbo.Fanout
 }
 
 // planes is the job's state at element width F, every buffer a pair of
@@ -137,15 +136,15 @@ func (p *planes[F]) hest(slot, al, n int) (re, im []F) {
 	return p.hestRe[o : o+al*n], p.hestIm[o : o+al*n]
 }
 
-// SetParallel installs the window fan-out hook the finish stage hands to
-// the turbo decoder. Call after Init; a nil hook (or none) decodes
+// SetParallel installs the window fan-out the finish stage hands to the
+// turbo decoder. Call after Init; a nil fan-out (or none) decodes
 // serially with identical results.
-func (j *UserJob) SetParallel(p turbo.Parallel) { j.par = p }
+func (j *UserJob) SetParallel(f *turbo.Fanout) { j.par = f }
 
 // SoftBits returns the demapped, descrambled LLR stream of the whole
 // allocation. Valid after the finish stage; HARQProcess.Absorb consumes
-// it. When the job ran on an arena the slice is arena-backed and must be
-// consumed before the job's scratch is released.
+// it. When the job ran on an arena the slice is carved from it and must
+// be consumed before the mark enclosing the job is released.
 func (j *UserJob) SoftBits() []float64 { return j.softBits }
 
 // Result returns the user result the finish stage produced.
@@ -181,6 +180,13 @@ func layerRefs[F workspace.Float](n int) []lane.Vec[F] {
 	if cached != nil {
 		return cached.([]lane.Vec[F])
 	}
+	return storeLayerRefs[F](key, n)
+}
+
+// storeLayerRefs builds and caches the reference planes of width n.
+//
+//ltephy:coldpath — table construction on a first sight of the width.
+func storeLayerRefs[F workspace.Float](key dmrsKey, n int) []lane.Vec[F] {
 	base := sequence.BaseDMRS(n)
 	refs := make([]lane.Vec[F], sequence.MaxLayers)
 	for l := range refs {
@@ -223,18 +229,18 @@ func (j *UserJob) Init(ws *workspace.Arena, cfg ReceiverConfig, u *UserData) err
 		return err
 	}
 	if u.Params.Layers > cfg.Antennas {
-		return fmt.Errorf("uplink: user %d: %d layers exceed %d antennas",
+		return fmt.Errorf("uplink: user %d: %d layers exceed %d antennas", //ltephy:alloc-ok — rejects the input
 			u.Params.ID, u.Params.Layers, cfg.Antennas)
 	}
 	if got := u.Antennas(); got != cfg.Antennas {
-		return fmt.Errorf("uplink: user %d: data captured with %d antennas, receiver configured for %d",
+		return fmt.Errorf("uplink: user %d: data captured with %d antennas, receiver configured for %d", //ltephy:alloc-ok — rejects the input
 			u.Params.ID, got, cfg.Antennas)
 	}
 	n := u.Params.Subcarriers()
 	for slot := 0; slot < SlotsPerSubframe; slot++ {
 		for a := 0; a < cfg.Antennas; a++ {
 			if len(u.RefRx[slot][a]) != n {
-				return fmt.Errorf("uplink: user %d: ref symbol slot %d antenna %d has %d subcarriers, want %d",
+				return fmt.Errorf("uplink: user %d: ref symbol slot %d antenna %d has %d subcarriers, want %d", //ltephy:alloc-ok — rejects the input
 					u.Params.ID, slot, a, len(u.RefRx[slot][a]), n)
 			}
 		}
@@ -302,12 +308,6 @@ func (j *UserJob) NumChanEstTasks() int { return j.Cfg.Antennas * j.layers }
 // NumDataTasks returns dataSymbols * layers — the paper's "up to 24 tasks"
 // per slot, i.e. 12*layers for the whole subframe.
 func (j *UserJob) NumDataTasks() int { return DataSymbolsPerSubframe * j.layers }
-
-// ChanEstTask estimates the channel for one (antenna, layer) pair with
-// heap scratch — the convenience form of the channel-estimation stage.
-func (j *UserJob) ChanEstTask(i int) {
-	chanEstStages[j.Cfg.ChanEst].Run(nil, j, i)
-}
 
 // chanEstTask estimates the channel for one (antenna, layer) pair across
 // both slots: matched filter against the layer's reference sequence (unit
@@ -486,13 +486,6 @@ func (j *UserJob) resolveNoiseAndCFO() {
 	}
 }
 
-// ComputeWeights derives the per-subcarrier combining matrices with heap
-// scratch — the convenience form of the weight stage selected by
-// Cfg.Combiner.
-func (j *UserJob) ComputeWeights() {
-	combinerStages[j.Cfg.Combiner].Run(nil, j, 0)
-}
-
 // computeLinearWeights fills the weight planes for the MMSE family:
 // solveNV is the diagonal loading of the Gram matrix (the noise variance
 // for MMSE, a numerical guard for ZF), and mrc selects the per-layer
@@ -548,12 +541,6 @@ func (p *planes[F]) computeLinearWeights(j *UserJob, solveNV float64, mrc bool) 
 			}
 		}
 	}
-}
-
-// DataTask combines one (slot, symbol, layer) with heap scratch — the
-// convenience form of the data stage.
-func (j *UserJob) DataTask(i int) {
-	dataStage{}.Run(nil, j, i)
 }
 
 // combineSymbol accumulates the combiner output for data task i into the
@@ -621,13 +608,6 @@ func (p *planes[F]) dataBatch(j *UserJob, ws *workspace.Arena, from, to int) {
 	ws.Release(m)
 }
 
-// Finish runs the per-user backend with heap scratch and returns the
-// user's result — the convenience form of the finish stage.
-func (j *UserJob) Finish() UserResult {
-	finishStage{}.Run(nil, j, 0)
-	return j.res
-}
-
 // finish runs the per-user backend: symbol deinterleaving, soft demapping,
 // turbo decoding (pass-through or full) and the CRC check. The result is
 // stored on the job. Scratch (deinterleave buffer, LLRs, decoder state)
@@ -643,13 +623,13 @@ func (j *UserJob) finish(ws *workspace.Arena) {
 // finish deinterleaves both planes, runs the fused demap + EVM at width F
 // into float64 LLRs, then descrambles, decodes and checks the CRC.
 //
-// The LLRs are stored in j.softBits past the scratch Release by contract:
-// softBits survive on the arena until the job-lifetime mark is released
-// (HARQ Absorb consumes them first).
+// The LLRs are carved below the stage's scratch mark, so they live until
+// the mark enclosing the job is released: they are the job's soft bits.
 //
 //ltephy:owns-scratch
 func (p *planes[F]) finish(j *UserJob, ws *workspace.Arena) {
 	res := UserResult{UserID: j.U.Params.ID, ChannelMSE: math.NaN()}
+	soft := ws.Float(j.format.TotalBits)
 	m := ws.Mark()
 	total := len(p.combRe)
 	deintRe := workspace.Floats[F](ws, total)
@@ -659,7 +639,7 @@ func (p *planes[F]) finish(j *UserJob, ws *workspace.Arena) {
 	nv := j.backendNoiseVar()
 	// Arena slices have capacity == length, so the demapper fills the
 	// buffer exactly without growing it.
-	llr, evm := modulation.DemapEVMPlanes(j.U.Params.Mod, ws.Float(j.format.TotalBits)[:0], deintRe, deintIm, F(nv))
+	llr, evm := modulation.DemapEVMPlanes(j.U.Params.Mod, soft[:0], deintRe, deintIm, F(nv))
 	if j.Cfg.Scramble {
 		DescrambleIn(ws, llr, j.U.Params.ID)
 	}
@@ -673,10 +653,11 @@ func (p *planes[F]) finish(j *UserJob, ws *workspace.Arena) {
 	res.Bits = payload
 	res.CRCOK = ok && symbolsFinite(evm)
 	res.TurboHalfIters = halfIters
+	res.Params = j.U.Params
+	res.RV = j.U.RV
 	if j.U.Channel != nil {
 		res.ChannelMSE = p.channelMSE(j)
 	}
-	j.stampServing(&res)
 	j.res = res
 	ws.Release(m)
 }
@@ -702,18 +683,6 @@ func (j *UserJob) backendNoiseVar() float64 {
 		return j.U.NoiseVar
 	}
 	return 1e-9
-}
-
-// stampServing attaches the serving-layer metadata to a finished result:
-// the scheduling parameters, the transmission's redundancy version and —
-// with Cfg.KeepSoftBits — a heap copy of the soft bits that outlives the
-// job's arena (HARQ ledgers above the scheduler consume it).
-func (j *UserJob) stampServing(res *UserResult) {
-	res.Params = j.U.Params
-	res.RV = j.U.RV
-	if j.Cfg.KeepSoftBits {
-		res.SoftBits = append([]float64(nil), j.softBits...) //ltephy:alloc-ok opt-in soft-bit export
-	}
 }
 
 // channelMSE computes the normalised estimation error against ground truth,
@@ -745,7 +714,8 @@ func (p *planes[F]) channelMSE(j *UserJob) float64 {
 }
 
 // Process runs the whole chain serially — the paper's reference serial
-// implementation used to verify parallelised versions (Section IV-D).
+// implementation used to verify parallelised versions (Section IV-D). The
+// result owns its Bits; its SoftBits are nil.
 func Process(cfg ReceiverConfig, u *UserData) (UserResult, error) {
 	return processIn(nil, &UserJob{}, cfg, u)
 }
@@ -773,28 +743,26 @@ func processIn(ws *workspace.Arena, j *UserJob, cfg ReceiverConfig, u *UserData)
 	return j.res, nil
 }
 
-// serialArenas recycles the serial receiver's scratch arenas across
-// ProcessSubframe calls, so repeated subframe processing is steady-state
-// allocation-free. Concurrent callers each get their own arena.
-var serialArenas = sync.Pool{New: func() any { return workspace.New() }}
+// serialPair is an arena and the job run on it: the pair a pool worker
+// owns, recycled across ProcessSubframe calls so that repeated subframe
+// processing allocates only the results it returns. Concurrent callers
+// each get their own pair.
+type serialPair struct {
+	ws  workspace.Arena
+	job UserJob
+}
 
-// wholesale mark/bits reuse for the serial path is handled per call; the
-// job itself is small and reused via this pool too.
-var serialJobs = sync.Pool{New: func() any { return &UserJob{} }}
+var serialPairs = sync.Pool{New: func() any { return new(serialPair) }}
 
 // ProcessSubframe serially processes every user of a subframe in order.
+// The results own their Bits; their SoftBits are nil.
 func ProcessSubframe(cfg ReceiverConfig, sf *Subframe) ([]UserResult, error) {
-	ws := serialArenas.Get().(*workspace.Arena)
-	defer serialArenas.Put(ws)
-	j := serialJobs.Get().(*UserJob)
-	// Detach the recycled payload storage: results escape to the caller,
-	// so each user must decode into fresh heap bits.
-	j.bits = nil
-	defer serialJobs.Put(j)
+	p := serialPairs.Get().(*serialPair)
+	defer serialPairs.Put(p)
 	results := make([]UserResult, 0, len(sf.Users))
 	for _, u := range sf.Users {
-		j.bits = nil // the previous user's bits are aliased by its result
-		r, err := processIn(ws, j, cfg, u)
+		p.job.bits = nil // results escape: each user decodes into fresh bits
+		r, err := processIn(&p.ws, &p.job, cfg, u)
 		if err != nil {
 			return nil, fmt.Errorf("subframe %d: %w", sf.Seq, err)
 		}

@@ -190,14 +190,12 @@ func TestCFOEstimationAndCorrection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < job.NumChanEstTasks(); i++ {
-			job.ChanEstTask(i)
+		for _, s := range job.Stages() {
+			for i := range s.Tasks(job) {
+				s.Run(nil, job, i)
+			}
 		}
-		job.ComputeWeights()
-		for i := 0; i < job.NumDataTasks(); i++ {
-			job.DataTask(i)
-		}
-		return job.Finish(), job.CFOEstimate()
+		return job.Result(), job.CFOEstimate()
 	}
 
 	resOff, _ := make2(false)

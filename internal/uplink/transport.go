@@ -90,7 +90,10 @@ func cachedTransportFormat(p UserParams, mode TurboMode, rate float64) (Transpor
 // NewTransportFormatRate computes a rate-matched TurboFull format: the
 // payload is rate*TotalBits (minus CRC), turbo-encoded and rate-matched to
 // occupy the allocation exactly. rate 0 falls back to NewTransportFormat's
-// behaviour (mother-rate codeword plus zero padding).
+// behaviour (mother-rate codeword plus zero padding). The receiver reaches
+// it only on a format-cache miss (cachedTransportFormat).
+//
+//ltephy:coldpath — format construction.
 func NewTransportFormatRate(p UserParams, mode TurboMode, rate float64) (TransportFormat, error) {
 	if rate == 0 || mode != TurboFull {
 		return NewTransportFormat(p, mode)
@@ -210,7 +213,7 @@ type DecodeParams struct {
 	RV int
 	// Par, when non-nil, fans one code block's trellis windows out
 	// across scheduler workers.
-	Par turbo.Parallel
+	Par *turbo.Fanout
 }
 
 // DecodeParams derives the decode configuration a receiver with this

@@ -149,17 +149,19 @@ type UserResult struct {
 	Params UserParams
 	// RV is the redundancy version copied from UserData.RV.
 	RV uint8
-	// SoftBits is a heap copy of the demapped, descrambled LLR stream,
-	// present only with ReceiverConfig.KeepSoftBits — the input
-	// HARQProcess.Absorb consumes when soft-combining runs outside the
-	// job's arena lifetime (e.g. the fronthaul HARQ ledger).
+	// SoftBits is the demapped, descrambled LLR stream, the input
+	// HARQProcess.Absorb consumes. The pool's results carry it, borrowed
+	// from the job's arena until OnResult returns; the serial receiver's
+	// (Process, ProcessSubframe) leave it nil.
 	SoftBits []float64
 	// CRCOK reports whether the transport-block CRC24A verified and the
 	// equalised symbols it was decoded from were finite (EVM is finite): a
 	// NaN or Inf symbol — or one so large its squared error overflows —
 	// fails the block even if the hard decisions carry a valid CRC.
 	CRCOK bool
-	// Bits is the decoded payload (excluding CRC).
+	// Bits is the decoded payload (excluding CRC). The serial receiver's
+	// results own it; the pool's are borrowed until OnResult returns, and
+	// a consumer that keeps them copies them.
 	Bits []uint8
 	// ChannelMSE is the mean squared error of the channel estimate against
 	// the true channel, when ground truth was available (else NaN).
@@ -325,11 +327,6 @@ type ReceiverConfig struct {
 	// Scramble enables bit scrambling with the user-specific Gold sequence
 	// (TS 36.211 §5.3.1) between coding and modulation.
 	Scramble bool
-	// KeepSoftBits makes the finish stage copy the demapped LLR stream
-	// into UserResult.SoftBits (heap memory, one allocation per user).
-	// Off by default: the zero-alloc hot path stays allocation-free and
-	// SoftBits stays nil. HARQ-combining servers opt in.
-	KeepSoftBits bool
 	// InterleaverColumns configures the symbol block interleaver.
 	InterleaverColumns int
 }
@@ -346,6 +343,8 @@ func DefaultConfig() ReceiverConfig {
 }
 
 // Validate checks the configuration.
+//
+//ltephy:coldpath — error construction happens only for an invalid config.
 func (c ReceiverConfig) Validate() error {
 	switch {
 	case c.Antennas < 1 || c.Antennas > 8:
